@@ -24,8 +24,7 @@ use kcc_collector::UpdateArchive;
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::table::{overview, OverviewSink};
 use kcc_core::{
-    classify_archive, clean_archive, run_pipeline, run_sharded, CleaningConfig, CleaningStage,
-    CountsSink, MrtSource,
+    classify_archive, clean_archive, CleaningConfig, CleaningStage, CountsSink, MrtSource,
 };
 use kcc_tracegen::Mar20Config;
 
@@ -127,7 +126,10 @@ fn main() {
 
         let streaming = measure(|| {
             let stage = CleaningStage::new(&registry, CleaningConfig::default());
-            let out = run_pipeline(open(), stage, (OverviewSink::default(), CountsSink::default()))
+            let out = PipelineBuilder::new(open())
+                .stages(stage)
+                .sink((OverviewSink::default(), CountsSink::default()))
+                .run()
                 .expect("in-memory MRT cannot fail");
             out.stats.updates
         });
@@ -137,13 +139,12 @@ fn main() {
         );
 
         let sharded = measure(|| {
-            let out = run_sharded(
-                open(),
-                threads,
-                || CleaningStage::new(&registry, CleaningConfig::default()),
-                || (OverviewSink::default(), CountsSink::default()),
-            )
-            .expect("in-memory MRT cannot fail");
+            let out = PipelineBuilder::new(open())
+                .sink((OverviewSink::default(), CountsSink::default()))
+                .shards(threads)
+                .stages_with(|| CleaningStage::new(&registry, CleaningConfig::default()))
+                .run()
+                .expect("in-memory MRT cannot fail");
             out.stats.updates
         });
         println!(

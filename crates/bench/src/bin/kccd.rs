@@ -247,8 +247,8 @@ fn main() {
     if opts.duration_secs > 0 {
         // Trigger the *daemon* shutdown, not the source flag: sessions
         // then drain what they already received, Cease, and the feed
-        // closes — so `run_live` below finishes with every in-flight
-        // update ingested instead of cutting the pipeline off early.
+        // closes — so the live pipeline below finishes with every
+        // in-flight update ingested instead of being cut off early.
         let handle = collector.shutdown_handle();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_secs(opts.duration_secs));

@@ -17,7 +17,7 @@ pub struct ComparisonRow {
     pub paper: String,
     /// Our measured value, as printed.
     pub measured: String,
-    /// Whether the shape criterion holds.
+    /// Whether the shape check holds.
     pub ok: bool,
 }
 

@@ -1,7 +1,7 @@
 //! # kcc-bench — experiment harnesses
 //!
-//! One binary per paper table/figure (see `src/bin/`), Criterion
-//! micro-benchmarks (see `benches/`), and this shared harness library:
+//! One binary per paper table/figure (see `src/bin/`) and this shared
+//! harness library:
 //! argument parsing, the simulated beacon-day driver, and paper-vs-measured
 //! comparison rendering.
 //!

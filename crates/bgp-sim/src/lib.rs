@@ -30,10 +30,11 @@
 //!   four scenario specs ([`lab`]),
 //! * a **labeled fault library** ([`faults`]): prefix hijack, route
 //!   leak, blackhole injection and collector outage as scenario specs
-//!   with ground-truth labels — the CommunityWatch detector's eval set,
-//! * a **sim→TCP bridge** ([`bridge`]): every session of a captured (or
-//!   any) update archive becomes a real outbound BGP speaker against a
-//!   live collector daemon — the end-to-end rig for the live subsystem.
+//!   with ground-truth labels — the CommunityWatch detector's eval set.
+//!
+//! The simulator links no network stack: to replay a capture over real
+//! BGP sessions, turn it into an archive and hand it to
+//! `kcc_peer::FloodRig`.
 //!
 //! Determinism: all event ordering is `(time, sequence)`; all randomness is
 //! seeded. The same inputs always produce byte-identical captures.
@@ -41,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bridge;
 pub mod capture;
 pub mod dampening;
 pub mod decision;
@@ -58,7 +58,6 @@ pub mod session;
 pub mod time;
 pub mod vendor;
 
-pub use bridge::{replay_archive, BridgeConfig, BridgeReport};
 pub use capture::{Capture, CapturedUpdate};
 pub use dampening::DampeningConfig;
 pub use event::EventKind;

@@ -21,8 +21,8 @@
 //!   byte streams behind one trait,
 //! * [`corpus`]: named multi-collector corpora — N [`UpdateSource`]s
 //!   (MRT files/dirs, archives, live feeds) grouped under collector
-//!   names for the parallel cross-vantage engine in
-//!   `kcc_core::pipeline::run_corpus`,
+//!   names for the parallel cross-vantage engine behind
+//!   `kcc_core::PipelineBuilder::collectors`,
 //! * [`live`]: the live end of that abstraction — a channel-backed
 //!   [`LiveSource`] fed by a running collector daemon (`kcc_peer`), plus
 //!   the [`ShutdownFlag`] that lets unbounded runs finish gracefully,

@@ -34,7 +34,7 @@ use kcc_bgp_types::{MessageKind, Prefix, RouteUpdate};
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
 use crate::alert::{sort_alerts, Alert, AlertKind, ShiftMetric};
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// Learned profiles.
 #[derive(Debug, Clone, Default)]
@@ -128,7 +128,9 @@ impl CommunityProfiler {
     /// Flags anomalies in a detection archive against the trained
     /// profiles — the batch wrapper over [`AnomalySink`].
     pub fn detect(&self, archive: &UpdateArchive, cfg: &AnomalyConfig) -> Vec<Alert> {
-        run_pipeline(ArchiveSource::new(archive), (), AnomalySink::new(self, *cfg))
+        PipelineBuilder::new(ArchiveSource::new(archive))
+            .sink(AnomalySink::new(self, *cfg))
+            .run()
             .expect("archive sources cannot fail")
             .sink
             .finish()

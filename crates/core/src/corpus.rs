@@ -7,8 +7,7 @@
 //! as a signal in itself: a community seen at every vantage point is
 //! propagating globally, one seen at a single collector is scoped,
 //! filtered, or anomalous. This module turns one
-//! [`run_corpus`](crate::pipeline::run_corpus) pass into that
-//! comparison:
+//! [`PipelineBuilder::collectors`] pass into that comparison:
 //!
 //! * per-collector Table 1 and Table 2 columns side by side,
 //! * a per-community presence/agreement matrix over the collectors,
@@ -215,7 +214,8 @@ impl AgreementMatrix {
 /// Table 2 and the community-presence set.
 pub type CorpusSink = (OverviewSink, CountsSink, CommunitySetSink);
 
-/// A fresh [`CorpusSink`] (the factory `run_corpus` wants).
+/// A fresh [`CorpusSink`] (the per-collector factory
+/// [`CorpusBuilder::sinks_for`](crate::pipeline::CorpusBuilder::sinks_for) wants).
 pub fn corpus_sink() -> CorpusSink {
     (OverviewSink::default(), CountsSink::default(), CommunitySetSink::default())
 }
@@ -324,12 +324,8 @@ pub fn run_corpus_watch(
             )
         })
         .collect();
-    let report = fold_report(CorpusOutput {
-        per_collector,
-        combined: combined_report,
-        stats: out.stats,
-        profile: out.profile,
-    });
+    let report =
+        fold_report(CorpusOutput { per_collector, combined: combined_report, stats: out.stats });
     Ok((report, combined_watch.finish()))
 }
 

@@ -41,7 +41,7 @@
 //! [`AnalysisSink`] driven by [`pipeline::Pipeline`] over any
 //! [`UpdateSource`] — one pass, constant memory per `(prefix, session)`
 //! stream, optionally sharded across threads with
-//! [`pipeline::run_sharded`]. The **batch** functions
+//! [`PipelineBuilder::shards`]. The **batch** functions
 //! ([`classify_archive`], [`clean_archive`], [`table::overview`], …) are
 //! thin wrappers over that path, so their results — and the paper's
 //! golden outputs — are unchanged.
@@ -82,9 +82,8 @@ pub use kcc_collector::{
     ShutdownFlag, SourceError, SourceItem, UpdateSource,
 };
 pub use pipeline::{
-    feed_classified, run_corpus, run_live, run_pipeline, run_sharded, AnalysisSink, CorpusBuilder,
-    CorpusOutput, Merge, NoSink, Pipeline, PipelineBuilder, PipelineOutput, PipelineProfile,
-    PipelineStats, ShardedPipelineBuilder, Stage,
+    feed_classified, AnalysisSink, CorpusBuilder, CorpusOutput, Merge, NoSink, Pipeline,
+    PipelineBuilder, PipelineOutput, PipelineProfile, PipelineStats, ShardedPipelineBuilder, Stage,
 };
 pub use registry::AllocationRegistry;
 pub use stream::{

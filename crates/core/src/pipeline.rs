@@ -16,13 +16,15 @@
 //! Every analysis in this crate (overview, phase counts, exploration,
 //! revealed information, per-session distributions, timelines, anomaly
 //! detection, tomography, interconnections, longitudinal day points)
-//! implements [`AnalysisSink`], so one pass drives them all; the
-//! pre-existing batch functions survive as thin wrappers over this path.
+//! implements [`AnalysisSink`], so one pass drives them all; the batch
+//! functions (`classify_archive`, `overview`, …) are thin wrappers over
+//! this path. [`PipelineBuilder`] is the one way to run it.
 //!
-//! Because `(session, prefix)` streams are independent, [`run_sharded`]
-//! hash-partitions sessions across `std::thread::scope` workers (the
-//! pattern proven by the sweep runner) and merges the per-shard sinks on
-//! finish — results are identical for any shard count.
+//! Because `(session, prefix)` streams are independent,
+//! [`PipelineBuilder::shards`] hash-partitions sessions across
+//! `std::thread::scope` workers (the pattern proven by the sweep runner)
+//! and merges the per-shard sinks on finish — results are identical for
+//! any shard count.
 //!
 //! [`PathAttributes`]: kcc_bgp_types::PathAttributes
 
@@ -103,10 +105,11 @@ pub trait AnalysisSink {
     }
 }
 
-/// Combine two partial results of the same shape — what [`run_sharded`]
-/// does to per-shard stages and sinks on finish. Merging must be
-/// insensitive to how sessions were partitioned: counts add, sets union,
-/// per-session maps (disjoint across shards) extend.
+/// Combine two partial results of the same shape — what sharded and
+/// corpus runs do to per-shard (per-collector) stages and sinks on
+/// finish. Merging must be insensitive to how sessions were partitioned:
+/// counts add, sets union, per-session maps (disjoint across shards)
+/// extend.
 pub trait Merge {
     /// Folds `other` into `self`.
     fn merge(&mut self, other: Self);
@@ -205,8 +208,8 @@ pub struct PipelineProfile {
     pub sink_update_nanos: HistogramSnapshot,
     /// Sink `on_event` wall time, nanoseconds.
     pub sink_event_nanos: HistogramSnapshot,
-    /// Per-sink-instance finish/teardown wall time, nanoseconds (one
-    /// observation per pipeline — per shard, per collector).
+    /// Classifier-state teardown wall time at finish, nanoseconds (one
+    /// observation per run).
     pub finish_nanos: HistogramSnapshot,
 }
 
@@ -229,17 +232,6 @@ impl PipelineProfile {
             registry.histogram_with("kcc_pipeline_phase_nanos", &all).record(hist);
         }
         registry.counter_with("kcc_pipeline_profile_samples_total", labels).add(self.sampled);
-    }
-}
-
-impl Merge for PipelineProfile {
-    fn merge(&mut self, other: Self) {
-        self.sampled += other.sampled;
-        self.stage_nanos.merge(&other.stage_nanos);
-        self.classify_nanos.merge(&other.classify_nanos);
-        self.sink_update_nanos.merge(&other.sink_update_nanos);
-        self.sink_event_nanos.merge(&other.sink_event_nanos);
-        self.finish_nanos.merge(&other.finish_nanos);
     }
 }
 
@@ -284,7 +276,7 @@ pub struct PipelineOutput<St, S> {
     /// Run statistics.
     pub stats: PipelineStats,
     /// Sampled per-phase timing, when profiling was enabled
-    /// ([`PipelineBuilder::profile`]); merged across shards/collectors.
+    /// ([`PipelineBuilder::profile`]) on a serial run.
     pub profile: Option<PipelineProfile>,
 }
 
@@ -455,8 +447,7 @@ impl<St: Stage, S: AnalysisSink> Pipeline<St, S> {
     }
 
     /// Dismantles the pipeline into its results. With profiling on, the
-    /// classifier-state teardown is timed as this instance's `finish`
-    /// observation (one per sink instance — per shard, per collector).
+    /// classifier-state teardown is timed as the `finish` observation.
     pub fn finish(self) -> PipelineOutput<St, S> {
         let Pipeline { stages, sink, classifier_ids, classifiers, stats, profile, .. } = self;
         let profile = profile.map(|mut state| {
@@ -478,15 +469,14 @@ impl<St: Stage, S: AnalysisSink> Pipeline<St, S> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoSink;
 
-/// The fluent entry point to every pipeline shape — one builder replaces
-/// the four historically separate functions:
+/// The one entry point to every pipeline shape:
 ///
-/// | call chain | replaces |
+/// | call chain | shape |
 /// |---|---|
-/// | `.stages(st).sink(s).run()` | `run_pipeline` |
-/// | `.stages(st).sink(s).shutdown(&stop).run()` | `run_live` |
-/// | `.stages(st).sink(s).shards(n).run()` | `run_sharded` |
-/// | `PipelineBuilder::collectors(corpus)…` | `run_corpus` |
+/// | `.stages(st).sink(s).run()` | serial, on the calling thread |
+/// | `.stages(st).sink(s).shutdown(&stop).run()` | live daemon feed |
+/// | `.stages(st).sink(s).shards(n).run()` | hash-partitioned threads |
+/// | `PipelineBuilder::collectors(corpus)…` | one pipeline per collector |
 ///
 /// ```
 /// # use kcc_core::pipeline::PipelineBuilder;
@@ -542,7 +532,8 @@ impl<Src, St, S> PipelineBuilder<Src, St, S> {
     /// Enables sampled per-phase timing: every `every`-th update has
     /// each phase wall-clocked into [`PipelineOutput::profile`]. The
     /// sampling interval bounds the overhead (see `BENCH_pipeline.json`
-    /// `overhead_percent`, gated ≤ 2% in CI).
+    /// `overhead_percent`, gated ≤ 2% in CI). Serial runs only: the
+    /// setting does not carry over to [`shards`](PipelineBuilder::shards).
     pub fn profile(mut self, every: u64) -> Self {
         self.profile_every = Some(every);
         self
@@ -616,7 +607,6 @@ impl<Src, St, S> PipelineBuilder<Src, St, S> {
             shards: n,
             make_stages: move || stages.clone(),
             make_sink: move || sink.clone(),
-            profile_every: self.profile_every,
         }
     }
 }
@@ -629,17 +619,11 @@ pub type DefaultCorpusBuilder<'s> = CorpusBuilder<'s, fn(&str), fn(&str) -> NoSi
 
 impl<'s> PipelineBuilder<Corpus<'s>> {
     /// A per-collector builder over a corpus — every member runs its own
-    /// full pipeline (the [`run_corpus`] shape). Configure with
+    /// full pipeline. Configure with
     /// [`CorpusBuilder::stages_for`] / [`CorpusBuilder::sinks_for`] /
     /// [`CorpusBuilder::threads`], then [`CorpusBuilder::run`].
     pub fn collectors(corpus: Corpus<'s>) -> DefaultCorpusBuilder<'s> {
-        CorpusBuilder {
-            corpus,
-            threads: 4,
-            make_stages: |_| (),
-            make_sink: |_| NoSink,
-            profile_every: None,
-        }
+        CorpusBuilder { corpus, threads: 4, make_stages: |_| (), make_sink: |_| NoSink }
     }
 }
 
@@ -652,7 +636,6 @@ pub struct ShardedPipelineBuilder<Src, FSt, FS> {
     shards: usize,
     make_stages: FSt,
     make_sink: FS,
-    profile_every: Option<u64>,
 }
 
 impl<Src, FSt, FS> ShardedPipelineBuilder<Src, FSt, FS> {
@@ -664,7 +647,6 @@ impl<Src, FSt, FS> ShardedPipelineBuilder<Src, FSt, FS> {
             shards: self.shards,
             make_stages,
             make_sink: self.make_sink,
-            profile_every: self.profile_every,
         }
     }
 
@@ -675,21 +657,19 @@ impl<Src, FSt, FS> ShardedPipelineBuilder<Src, FSt, FS> {
             shards: self.shards,
             make_stages: self.make_stages,
             make_sink,
-            profile_every: self.profile_every,
         }
     }
 
-    /// Enables sampled per-phase timing on every shard (see
-    /// [`PipelineBuilder::profile`]); per-shard profiles merge on
-    /// finish.
-    pub fn profile(mut self, every: u64) -> Self {
-        self.profile_every = Some(every);
-        self
-    }
-
-    /// Runs the source across the workers and merges the per-shard
-    /// stages/sinks in shard order. Results are **shard-count
-    /// independent** (see [`run_sharded`] for the argument).
+    /// Runs the source across the workers, hash-partitioned by
+    /// [`SessionKey`], and merges the per-shard stages/sinks in shard
+    /// order.
+    ///
+    /// Results are **shard-count independent**: every `(session, prefix)`
+    /// stream lives on exactly one worker (so per-stream state and event
+    /// order are unaffected) and [`Merge`] implementations are
+    /// partition-insensitive. On a single-core host this degrades to the
+    /// serial path's results at roughly the serial path's speed; on
+    /// multi-core hardware wall-clock scales with the shard count.
     pub fn run<St, S>(self) -> Result<PipelineOutput<St, S>, SourceError>
     where
         Src: UpdateSource,
@@ -698,13 +678,76 @@ impl<Src, FSt, FS> ShardedPipelineBuilder<Src, FSt, FS> {
         FSt: Fn() -> St + Sync,
         FS: Fn() -> S + Sync,
     {
-        run_sharded_impl(
-            self.source,
-            self.shards,
-            self.make_stages,
-            self.make_sink,
-            self.profile_every,
-        )
+        let ShardedPipelineBuilder { mut source, shards, make_stages, make_sink } = self;
+        if shards <= 1 {
+            return PipelineBuilder::new(source).stages(make_stages()).sink(make_sink()).run();
+        }
+
+        std::thread::scope(|scope| {
+            let mut senders = Vec::with_capacity(shards);
+            let mut handles = Vec::with_capacity(shards);
+            for _ in 0..shards {
+                let (tx, rx) = mpsc::sync_channel::<Vec<SourceItem>>(SHARD_IN_FLIGHT);
+                senders.push(tx);
+                let make_stages = &make_stages;
+                let make_sink = &make_sink;
+                handles.push(scope.spawn(move || {
+                    let mut pipeline = Pipeline::new(make_stages(), make_sink());
+                    while let Ok(batch) = rx.recv() {
+                        for item in batch {
+                            pipeline.feed(item);
+                        }
+                    }
+                    pipeline.finish()
+                }));
+            }
+
+            let mut buffers: Vec<Vec<SourceItem>> = (0..shards).map(|_| Vec::new()).collect();
+            let outcome = loop {
+                match source.next_item() {
+                    Ok(Some(item)) => {
+                        let key = match &item {
+                            SourceItem::Session(meta) => &meta.key,
+                            SourceItem::Update(meta, _) => &meta.key,
+                        };
+                        let shard = shard_of(key, shards);
+                        buffers[shard].push(item);
+                        if buffers[shard].len() >= SHARD_BATCH {
+                            let batch = std::mem::take(&mut buffers[shard]);
+                            if senders[shard].send(batch).is_err() {
+                                break Err(SourceError::Other(
+                                    "pipeline worker exited early".into(),
+                                ));
+                            }
+                        }
+                    }
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            };
+            for (shard, buffer) in buffers.into_iter().enumerate() {
+                if !buffer.is_empty() {
+                    // A failed send means the worker panicked; joining below
+                    // will surface that panic.
+                    let _ = senders[shard].send(buffer);
+                }
+            }
+            drop(senders);
+
+            let mut merged: Option<PipelineOutput<St, S>> = None;
+            for handle in handles {
+                let part = handle.join().expect("pipeline worker panicked");
+                match &mut merged {
+                    None => merged = Some(part),
+                    Some(out) => {
+                        out.stages.merge(part.stages);
+                        out.sink.merge(part.sink);
+                        out.stats.merge(part.stats);
+                    }
+                }
+            }
+            outcome.map(|()| merged.expect("at least one shard"))
+        })
     }
 }
 
@@ -719,7 +762,6 @@ pub struct CorpusBuilder<'s, FSt, FS> {
     threads: usize,
     make_stages: FSt,
     make_sink: FS,
-    profile_every: Option<u64>,
 }
 
 impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
@@ -727,14 +769,6 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
     /// count).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables sampled per-phase timing on every member pipeline (see
-    /// [`PipelineBuilder::profile`]); per-collector profiles also merge
-    /// into [`CorpusOutput::profile`] in name order.
-    pub fn profile(mut self, every: u64) -> Self {
-        self.profile_every = Some(every);
         self
     }
 
@@ -746,7 +780,6 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
             threads: self.threads,
             make_stages,
             make_sink: self.make_sink,
-            profile_every: self.profile_every,
         }
     }
 
@@ -758,13 +791,24 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
             threads: self.threads,
             make_stages: self.make_stages,
             make_sink,
-            profile_every: self.profile_every,
         }
     }
 
-    /// Runs every member through its own pipeline and folds the outputs
-    /// into a [`CorpusOutput`]. Results are **collector-order- and
-    /// thread-count-independent** (see [`run_corpus`] for the argument).
+    /// Runs every member of the corpus through its **own** full pipeline —
+    /// per-collector stages (the §4 cleaning is applied per collector, as
+    /// in the paper) and per-collector sinks, built by the factories from
+    /// the collector name — fanning the members across up to `threads`
+    /// workers with `std::thread::scope`. On finish, per-collector
+    /// outputs are sorted by name and the sinks/stats additionally merged
+    /// (in that same name order) into the combined all-vantage result.
+    ///
+    /// Results are **collector-order- and thread-count-independent**:
+    /// each member is a fully independent pipeline (sessions carry their
+    /// collector, so no state is shared), workers only affect *which*
+    /// thread runs a member, and every merge folds in sorted name order
+    /// using the same integer-counter [`Merge`] discipline as sharded
+    /// runs. A failing member surfaces the error of the smallest
+    /// collector name so even the failure mode is deterministic.
     pub fn run<St, S>(self) -> Result<CorpusOutput<St, S>, SourceError>
     where
         St: Stage + Send,
@@ -772,53 +816,76 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
         FSt: Fn(&str) -> St + Sync,
         FS: Fn(&str) -> S + Sync,
     {
-        run_corpus_impl(
-            self.corpus,
-            self.threads,
-            self.make_stages,
-            self.make_sink,
-            self.profile_every,
-        )
+        type Slot<St, S> = Option<(String, Result<PipelineOutput<St, S>, SourceError>)>;
+        let CorpusBuilder { corpus, threads, make_stages, make_sink } = self;
+        let members = corpus.into_members();
+        let n = members.len();
+        let slots: Mutex<Vec<Slot<St, S>>> = Mutex::new((0..n).map(|_| None).collect());
+        let queue = AtomicUsize::new(0);
+        let members: Vec<Mutex<Option<kcc_collector::NamedSource<'s>>>> =
+            members.into_iter().map(|m| Mutex::new(Some(m))).collect();
+
+        std::thread::scope(|scope| {
+            let workers = threads.clamp(1, n.max(1));
+            let mut handles = Vec::with_capacity(workers);
+            for _ in 0..workers {
+                let queue = &queue;
+                let slots = &slots;
+                let members = &members;
+                let make_stages = &make_stages;
+                let make_sink = &make_sink;
+                handles.push(scope.spawn(move || loop {
+                    let idx = queue.fetch_add(1, Ordering::Relaxed);
+                    if idx >= members.len() {
+                        return;
+                    }
+                    let member = members[idx]
+                        .lock()
+                        .expect("member mutex poisoned")
+                        .take()
+                        .expect("each member claimed exactly once");
+                    let name = member.name.clone();
+                    let result = PipelineBuilder::new(member.source)
+                        .stages(make_stages(&name))
+                        .sink(make_sink(&name))
+                        .run();
+                    slots.lock().expect("slot mutex poisoned")[idx] = Some((name, result));
+                }));
+            }
+            for h in handles {
+                h.join().expect("corpus worker panicked");
+            }
+        });
+
+        let mut outputs: Vec<(String, PipelineOutput<St, S>)> = Vec::with_capacity(n);
+        let mut failures: Vec<(String, SourceError)> = Vec::new();
+        for slot in slots.into_inner().expect("slot mutex poisoned") {
+            let (name, result) = slot.expect("every member ran");
+            match result {
+                Ok(out) => outputs.push((name, out)),
+                Err(e) => failures.push((name, e)),
+            }
+        }
+        if !failures.is_empty() {
+            failures.sort_by(|a, b| a.0.cmp(&b.0));
+            let (name, error) = failures.remove(0);
+            return Err(SourceError::Other(format!("collector {name}: {error}")));
+        }
+        outputs.sort_by(|a, b| a.0.cmp(&b.0));
+
+        let mut combined: Option<S> = None;
+        let mut stats = PipelineStats::default();
+        for (_, out) in &outputs {
+            match &mut combined {
+                None => combined = Some(out.sink.clone()),
+                Some(c) => c.merge(out.sink.clone()),
+            }
+            stats.merge(out.stats);
+        }
+        let combined =
+            combined.ok_or_else(|| SourceError::Other("corpus has no members".into()))?;
+        Ok(CorpusOutput { per_collector: outputs, combined, stats })
     }
-}
-
-/// Runs one source through stages and sinks on the calling thread.
-///
-/// Note: prefer [`PipelineBuilder`] — `PipelineBuilder::new(source)
-/// .stages(stages).sink(sink).run()`. This function survives as a thin
-/// wrapper over the builder.
-pub fn run_pipeline<Src, St, S>(
-    source: Src,
-    stages: St,
-    sink: S,
-) -> Result<PipelineOutput<St, S>, SourceError>
-where
-    Src: UpdateSource,
-    St: Stage,
-    S: AnalysisSink,
-{
-    PipelineBuilder::new(source).stages(stages).sink(sink).run()
-}
-
-/// Runs a live/unbounded source through stages and sinks — the pipeline
-/// entry a collector daemon uses (see
-/// [`PipelineBuilder::shutdown`] for the drain semantics).
-///
-/// Note: prefer [`PipelineBuilder`] — `PipelineBuilder::new(source)
-/// .stages(stages).sink(sink).shutdown(stop).run()`. This function
-/// survives as a thin wrapper over the builder.
-pub fn run_live<Src, St, S>(
-    source: Src,
-    stages: St,
-    sink: S,
-    stop: &ShutdownFlag,
-) -> Result<PipelineOutput<St, S>, SourceError>
-where
-    Src: UpdateSource,
-    St: Stage,
-    S: AnalysisSink,
-{
-    PipelineBuilder::new(source).stages(stages).sink(sink).shutdown(stop).run()
 }
 
 /// Feeds an already-classified archive's events into a sink — the bridge
@@ -846,134 +913,6 @@ const SHARD_BATCH: usize = 512;
 /// Bounded channel depth per shard.
 const SHARD_IN_FLIGHT: usize = 8;
 
-/// Runs one source across `shards` worker threads, hash-partitioned by
-/// [`SessionKey`], and merges the per-shard stages/sinks in shard order.
-///
-/// Results are **shard-count independent**: every `(session, prefix)`
-/// stream lives on exactly one worker (so per-stream state and event
-/// order are unaffected) and [`Merge`] implementations are
-/// partition-insensitive. On a single-core host this degrades to the
-/// serial path's results at roughly the serial path's speed; on
-/// multi-core hardware wall-clock scales with the shard count.
-///
-/// Note: prefer [`PipelineBuilder`] —
-/// `PipelineBuilder::new(source).stages(st).sink(s).shards(n).run()`
-/// (with [`ShardedPipelineBuilder::stages_with`] /
-/// [`ShardedPipelineBuilder::sinks_with`] for non-`Clone` state). This
-/// function survives as a thin wrapper over the builder.
-pub fn run_sharded<Src, St, S, FSt, FS>(
-    source: Src,
-    shards: usize,
-    make_stages: FSt,
-    make_sink: FS,
-) -> Result<PipelineOutput<St, S>, SourceError>
-where
-    Src: UpdateSource,
-    St: Stage + Merge + Send,
-    S: AnalysisSink + Merge + Send,
-    FSt: Fn() -> St + Sync,
-    FS: Fn() -> S + Sync,
-{
-    run_sharded_impl(source, shards, make_stages, make_sink, None)
-}
-
-/// The hash-partitioned fan-out shared by [`run_sharded`] and
-/// [`ShardedPipelineBuilder::run`].
-fn run_sharded_impl<Src, St, S, FSt, FS>(
-    mut source: Src,
-    shards: usize,
-    make_stages: FSt,
-    make_sink: FS,
-    profile_every: Option<u64>,
-) -> Result<PipelineOutput<St, S>, SourceError>
-where
-    Src: UpdateSource,
-    St: Stage + Merge + Send,
-    S: AnalysisSink + Merge + Send,
-    FSt: Fn() -> St + Sync,
-    FS: Fn() -> S + Sync,
-{
-    if shards <= 1 {
-        let mut builder = PipelineBuilder::new(source).stages(make_stages()).sink(make_sink());
-        if let Some(every) = profile_every {
-            builder = builder.profile(every);
-        }
-        return builder.run();
-    }
-
-    std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::sync_channel::<Vec<SourceItem>>(SHARD_IN_FLIGHT);
-            senders.push(tx);
-            let make_stages = &make_stages;
-            let make_sink = &make_sink;
-            handles.push(scope.spawn(move || {
-                let mut pipeline = Pipeline::new(make_stages(), make_sink());
-                if let Some(every) = profile_every {
-                    pipeline.enable_profiling(every);
-                }
-                while let Ok(batch) = rx.recv() {
-                    for item in batch {
-                        pipeline.feed(item);
-                    }
-                }
-                pipeline.finish()
-            }));
-        }
-
-        let mut buffers: Vec<Vec<SourceItem>> = (0..shards).map(|_| Vec::new()).collect();
-        let outcome = loop {
-            match source.next_item() {
-                Ok(Some(item)) => {
-                    let key = match &item {
-                        SourceItem::Session(meta) => &meta.key,
-                        SourceItem::Update(meta, _) => &meta.key,
-                    };
-                    let shard = shard_of(key, shards);
-                    buffers[shard].push(item);
-                    if buffers[shard].len() >= SHARD_BATCH {
-                        let batch = std::mem::take(&mut buffers[shard]);
-                        if senders[shard].send(batch).is_err() {
-                            break Err(SourceError::Other("pipeline worker exited early".into()));
-                        }
-                    }
-                }
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        for (shard, buffer) in buffers.into_iter().enumerate() {
-            if !buffer.is_empty() {
-                // A failed send means the worker panicked; joining below
-                // will surface that panic.
-                let _ = senders[shard].send(buffer);
-            }
-        }
-        drop(senders);
-
-        let mut merged: Option<PipelineOutput<St, S>> = None;
-        for handle in handles {
-            let part = handle.join().expect("pipeline worker panicked");
-            match &mut merged {
-                None => merged = Some(part),
-                Some(out) => {
-                    out.stages.merge(part.stages);
-                    out.sink.merge(part.sink);
-                    out.stats.merge(part.stats);
-                    match (&mut out.profile, part.profile) {
-                        (Some(a), Some(b)) => a.merge(b),
-                        (slot @ None, Some(b)) => *slot = Some(b),
-                        (_, None) => {}
-                    }
-                }
-            }
-        }
-        outcome.map(|()| merged.expect("at least one shard"))
-    })
-}
-
 /// Everything a corpus run returns.
 #[derive(Debug)]
 pub struct CorpusOutput<St, S> {
@@ -986,9 +925,6 @@ pub struct CorpusOutput<St, S> {
     pub combined: S,
     /// All per-collector stats merged in name order.
     pub stats: PipelineStats,
-    /// All per-collector profiles merged in name order, when profiling
-    /// was enabled ([`CorpusBuilder::profile`]).
-    pub profile: Option<PipelineProfile>,
 }
 
 impl<St, S> CorpusOutput<St, S> {
@@ -996,135 +932,6 @@ impl<St, S> CorpusOutput<St, S> {
     pub fn collector(&self, name: &str) -> Option<&PipelineOutput<St, S>> {
         self.per_collector.iter().find(|(n, _)| n == name).map(|(_, out)| out)
     }
-}
-
-/// Runs every member of a [`Corpus`] through its **own** full pipeline —
-/// per-collector stages (the §4 cleaning is applied per collector, as in
-/// the paper) and per-collector sinks, built by the factories from the
-/// collector name — fanning the members across up to `threads` workers
-/// with `std::thread::scope`. On finish, per-collector outputs are
-/// sorted by name and the sinks/stats additionally merged (in that same
-/// name order) into the combined all-vantage result.
-///
-/// Results are **collector-order- and thread-count-independent**: each
-/// member is a fully independent pipeline (sessions carry their
-/// collector, so no state is shared), workers only affect *which* thread
-/// runs a member, and every merge folds in sorted name order using the
-/// same integer-counter [`Merge`] discipline as [`run_sharded`]. A
-/// failing member surfaces the error of the smallest collector name so
-/// even the failure mode is deterministic.
-///
-/// Note: prefer [`PipelineBuilder`] —
-/// `PipelineBuilder::collectors(corpus).threads(n)
-/// .stages_for(f).sinks_for(g).run()`. This function survives as a thin
-/// wrapper over the builder.
-pub fn run_corpus<'scope, St, S, FSt, FS>(
-    corpus: Corpus<'scope>,
-    threads: usize,
-    make_stages: FSt,
-    make_sink: FS,
-) -> Result<CorpusOutput<St, S>, SourceError>
-where
-    St: Stage + Send,
-    S: AnalysisSink + Merge + Clone + Send,
-    FSt: Fn(&str) -> St + Sync,
-    FS: Fn(&str) -> S + Sync,
-{
-    run_corpus_impl(corpus, threads, make_stages, make_sink, None)
-}
-
-/// The corpus fan-out shared by [`run_corpus`] and
-/// [`CorpusBuilder::run`].
-fn run_corpus_impl<'scope, St, S, FSt, FS>(
-    corpus: Corpus<'scope>,
-    threads: usize,
-    make_stages: FSt,
-    make_sink: FS,
-    profile_every: Option<u64>,
-) -> Result<CorpusOutput<St, S>, SourceError>
-where
-    St: Stage + Send,
-    S: AnalysisSink + Merge + Clone + Send,
-    FSt: Fn(&str) -> St + Sync,
-    FS: Fn(&str) -> S + Sync,
-{
-    type Slot<St, S> = Option<(String, Result<PipelineOutput<St, S>, SourceError>)>;
-    let members = corpus.into_members();
-    let n = members.len();
-    let slots: Mutex<Vec<Slot<St, S>>> = Mutex::new((0..n).map(|_| None).collect());
-    let queue = AtomicUsize::new(0);
-    let members: Vec<Mutex<Option<kcc_collector::NamedSource<'scope>>>> =
-        members.into_iter().map(|m| Mutex::new(Some(m))).collect();
-
-    std::thread::scope(|scope| {
-        let workers = threads.clamp(1, n.max(1));
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let members = &members;
-            let make_stages = &make_stages;
-            let make_sink = &make_sink;
-            handles.push(scope.spawn(move || loop {
-                let idx = queue.fetch_add(1, Ordering::Relaxed);
-                if idx >= members.len() {
-                    return;
-                }
-                let member = members[idx]
-                    .lock()
-                    .expect("member mutex poisoned")
-                    .take()
-                    .expect("each member claimed exactly once");
-                let name = member.name.clone();
-                let mut builder = PipelineBuilder::new(member.source)
-                    .stages(make_stages(&name))
-                    .sink(make_sink(&name));
-                if let Some(every) = profile_every {
-                    builder = builder.profile(every);
-                }
-                let result = builder.run();
-                slots.lock().expect("slot mutex poisoned")[idx] = Some((name, result));
-            }));
-        }
-        for h in handles {
-            h.join().expect("corpus worker panicked");
-        }
-    });
-
-    let mut outputs: Vec<(String, PipelineOutput<St, S>)> = Vec::with_capacity(n);
-    let mut failures: Vec<(String, SourceError)> = Vec::new();
-    for slot in slots.into_inner().expect("slot mutex poisoned") {
-        let (name, result) = slot.expect("every member ran");
-        match result {
-            Ok(out) => outputs.push((name, out)),
-            Err(e) => failures.push((name, e)),
-        }
-    }
-    if !failures.is_empty() {
-        failures.sort_by(|a, b| a.0.cmp(&b.0));
-        let (name, error) = failures.remove(0);
-        return Err(SourceError::Other(format!("collector {name}: {error}")));
-    }
-    outputs.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut combined: Option<S> = None;
-    let mut stats = PipelineStats::default();
-    let mut profile: Option<PipelineProfile> = None;
-    for (_, out) in &outputs {
-        match &mut combined {
-            None => combined = Some(out.sink.clone()),
-            Some(c) => c.merge(out.sink.clone()),
-        }
-        stats.merge(out.stats);
-        if let Some(p) = &out.profile {
-            match &mut profile {
-                None => profile = Some(p.clone()),
-                Some(merged) => merged.merge(p.clone()),
-            }
-        }
-    }
-    let combined = combined.ok_or_else(|| SourceError::Other("corpus has no members".into()))?;
-    Ok(CorpusOutput { per_collector: outputs, combined, stats, profile })
 }
 
 #[cfg(test)]
@@ -1142,6 +949,18 @@ mod tests {
             communities: CommunitySet::from_classic([Community::from_parts(3356, comm)]),
             ..Default::default()
         }
+    }
+
+    fn serial<S: AnalysisSink>(a: &UpdateArchive, sink: S) -> PipelineOutput<(), S> {
+        PipelineBuilder::new(ArchiveSource::new(a)).sink(sink).run().unwrap()
+    }
+
+    fn corpus_of<'a>(members: &[(&str, &'a UpdateArchive)]) -> Corpus<'a> {
+        let mut corpus = Corpus::new();
+        for (name, a) in members {
+            corpus.push(name, ArchiveSource::new(a)).unwrap();
+        }
+        corpus
     }
 
     fn archive() -> UpdateArchive {
@@ -1166,12 +985,7 @@ mod tests {
     #[test]
     fn one_pass_drives_multiple_sinks() {
         let a = archive();
-        let out = run_pipeline(
-            ArchiveSource::new(&a),
-            (),
-            (CountsSink::default(), OverviewSink::default()),
-        )
-        .unwrap();
+        let out = serial(&a, (CountsSink::default(), OverviewSink::default()));
         let (counts, overview_sink) = out.sink;
         assert_eq!(counts.finish(), classify_archive(&a).counts);
         assert_eq!(overview_sink.finish(), overview(&a));
@@ -1184,7 +998,7 @@ mod tests {
     #[test]
     fn update_only_sinks_skip_classifier_state() {
         let a = archive();
-        let out = run_pipeline(ArchiveSource::new(&a), (), OverviewSink::default()).unwrap();
+        let out = serial(&a, OverviewSink::default());
         assert_eq!(out.stats.streams, 0, "no classifier state for update-only sinks");
         assert_eq!(out.sink.finish(), overview(&a));
     }
@@ -1192,20 +1006,13 @@ mod tests {
     #[test]
     fn sharded_equals_serial() {
         let a = archive();
-        let serial = run_pipeline(
-            ArchiveSource::new(&a),
-            (),
-            (CountsSink::default(), OverviewSink::default()),
-        )
-        .unwrap();
+        let serial = serial(&a, (CountsSink::default(), OverviewSink::default()));
         for shards in [2, 3, 5] {
-            let sharded = run_sharded(
-                ArchiveSource::new(&a),
-                shards,
-                || (),
-                || (CountsSink::default(), OverviewSink::default()),
-            )
-            .unwrap();
+            let sharded = PipelineBuilder::new(ArchiveSource::new(&a))
+                .sink((CountsSink::default(), OverviewSink::default()))
+                .shards(shards)
+                .run()
+                .unwrap();
             assert_eq!(
                 sharded.sink.0.finish(),
                 serial.sink.0.finish(),
@@ -1225,7 +1032,11 @@ mod tests {
     #[test]
     fn more_shards_than_sessions_is_fine() {
         let a = archive();
-        let out = run_sharded(ArchiveSource::new(&a), 64, || (), CountsSink::default).unwrap();
+        let out = PipelineBuilder::new(ArchiveSource::new(&a))
+            .sink(CountsSink::default())
+            .shards(64)
+            .run()
+            .unwrap();
         assert_eq!(out.sink.finish(), classify_archive(&a).counts);
     }
 
@@ -1250,21 +1061,18 @@ mod tests {
         let a = collector_archive("rrc00", 0..4);
         let b = collector_archive("rrc01", 2..8);
         let c = collector_archive("route-views2", 5..6);
-        let build = |order: &[usize]| {
-            let archives = [&a, &b, &c];
-            let names = ["rrc00", "rrc01", "route-views2"];
-            let mut corpus = Corpus::new();
-            for &i in order {
-                corpus.push(names[i], ArchiveSource::new(archives[i])).unwrap();
-            }
-            corpus
+        let run = |order: [usize; 3], threads: usize| {
+            let members = [("rrc00", &a), ("rrc01", &b), ("route-views2", &c)];
+            PipelineBuilder::collectors(corpus_of(&order.map(|i| members[i])))
+                .threads(threads)
+                .sinks_for(|_: &str| CountsSink::default())
+                .run()
+                .unwrap()
         };
-        let reference =
-            run_corpus(build(&[0, 1, 2]), 1, |_| (), |_| CountsSink::default()).unwrap();
+        let reference = run([0, 1, 2], 1);
         for order in [[2, 1, 0], [1, 0, 2]] {
             for threads in [1, 2, 7] {
-                let out =
-                    run_corpus(build(&order), threads, |_| (), |_| CountsSink::default()).unwrap();
+                let out = run(order, threads);
                 let names: Vec<&String> = out.per_collector.iter().map(|(n, _)| n).collect();
                 assert_eq!(names, vec!["route-views2", "rrc00", "rrc01"], "name-sorted");
                 assert_eq!(out.combined.finish(), reference.combined.finish());
@@ -1281,9 +1089,11 @@ mod tests {
     #[test]
     fn single_member_corpus_equals_plain_pipeline() {
         let a = collector_archive("rrc00", 0..5);
-        let direct = run_pipeline(ArchiveSource::new(&a), (), CountsSink::default()).unwrap();
-        let corpus = Corpus::new().with("rrc00", ArchiveSource::new(&a)).unwrap();
-        let out = run_corpus(corpus, 4, |_| (), |_| CountsSink::default()).unwrap();
+        let direct = serial(&a, CountsSink::default());
+        let out = PipelineBuilder::collectors(corpus_of(&[("rrc00", &a)]))
+            .sinks_for(|_: &str| CountsSink::default())
+            .run()
+            .unwrap();
         assert_eq!(out.per_collector.len(), 1);
         assert_eq!(out.combined.finish(), direct.sink.finish());
         assert_eq!(out.stats, direct.stats);
@@ -1295,12 +1105,11 @@ mod tests {
         // Overview distinct-count merges must union across collectors.
         let a = collector_archive("rrc00", 0..3);
         let b = collector_archive("rrc01", 0..3);
-        let corpus = Corpus::new()
-            .with("rrc00", ArchiveSource::new(&a))
-            .unwrap()
-            .with("rrc01", ArchiveSource::new(&b))
+        let out = PipelineBuilder::collectors(corpus_of(&[("rrc00", &a), ("rrc01", &b)]))
+            .threads(2)
+            .sinks_for(|_: &str| OverviewSink::default())
+            .run()
             .unwrap();
-        let out = run_corpus(corpus, 2, |_| (), |_| OverviewSink::default()).unwrap();
         let merged = out.combined.finish();
         assert_eq!(merged.sessions, 6, "3 sessions per collector, keys disjoint");
         assert_eq!(merged.peers, 3, "same peer ASes union across collectors");
@@ -1308,7 +1117,10 @@ mod tests {
 
     #[test]
     fn empty_corpus_is_an_error() {
-        assert!(run_corpus(Corpus::new(), 2, |_| (), |_| CountsSink::default()).is_err());
+        let out = PipelineBuilder::collectors(Corpus::new())
+            .sinks_for(|_: &str| CountsSink::default())
+            .run();
+        assert!(out.is_err());
     }
 
     #[test]
@@ -1320,7 +1132,11 @@ mod tests {
             }
         }
         let corpus = Corpus::new().with("rrc07", Failing).unwrap().with("rrc03", Failing).unwrap();
-        let err = run_corpus(corpus, 2, |_| (), |_| CountsSink::default()).unwrap_err();
+        let err = PipelineBuilder::collectors(corpus)
+            .threads(2)
+            .sinks_for(|_: &str| CountsSink::default())
+            .run()
+            .unwrap_err();
         assert!(err.to_string().contains("rrc03"), "deterministic failure: {err}");
     }
 
@@ -1348,21 +1164,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_serial_equals_run_pipeline() {
+    fn builder_serial_equals_batch() {
         let a = archive();
         let built = PipelineBuilder::new(ArchiveSource::new(&a))
             .sink((CountsSink::default(), OverviewSink::default()))
             .run()
             .unwrap();
-        let direct = run_pipeline(
-            ArchiveSource::new(&a),
-            (),
-            (CountsSink::default(), OverviewSink::default()),
-        )
-        .unwrap();
-        assert_eq!(built.sink.0.finish(), direct.sink.0.finish());
-        assert_eq!(built.sink.1.finish(), direct.sink.1.finish());
-        assert_eq!(built.stats, direct.stats);
+        let batch = classify_archive(&a);
+        assert_eq!(built.sink.0.finish(), batch.counts);
+        assert_eq!(built.sink.1.finish(), overview(&a));
+        assert_eq!(built.stats.updates, a.update_count() as u64);
+        assert_eq!(built.stats.kept, a.update_count() as u64, "identity stages keep all");
+        assert_eq!(built.stats.sessions, a.session_count() as u64);
     }
 
     #[test]
@@ -1384,7 +1197,7 @@ mod tests {
     #[test]
     fn builder_shards_by_cloning_sink() {
         let a = archive();
-        let serial = run_pipeline(ArchiveSource::new(&a), (), CountsSink::default()).unwrap();
+        let serial = serial(&a, CountsSink::default());
         let sharded = PipelineBuilder::new(ArchiveSource::new(&a))
             .sink(CountsSink::default())
             .shards(3)
@@ -1397,7 +1210,7 @@ mod tests {
     #[test]
     fn builder_shards_with_factory_override() {
         let a = archive();
-        let serial = run_pipeline(ArchiveSource::new(&a), (), CountsSink::default()).unwrap();
+        let serial = serial(&a, CountsSink::default());
         let sharded = PipelineBuilder::new(ArchiveSource::new(&a))
             .sink(NoSink)
             .shards(4)
@@ -1408,26 +1221,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_collectors_equals_run_corpus() {
+    fn builder_collectors_equals_batch() {
         let a = collector_archive("rrc00", 0..4);
         let b = collector_archive("rrc01", 2..8);
-        let mk = || {
-            Corpus::new()
-                .with("rrc00", ArchiveSource::new(&a))
-                .unwrap()
-                .with("rrc01", ArchiveSource::new(&b))
-                .unwrap()
-        };
-        let direct = run_corpus(mk(), 2, |_| (), |_| CountsSink::default()).unwrap();
-        let built = PipelineBuilder::collectors(mk())
+        let built = PipelineBuilder::collectors(corpus_of(&[("rrc00", &a), ("rrc01", &b)]))
             .threads(2)
-            .sinks_for(|_: &str| CountsSink::default())
+            .sinks_for(|_: &str| (CountsSink::default(), OverviewSink::default()))
             .run()
             .unwrap();
-        assert_eq!(built.combined.finish(), direct.combined.finish());
-        assert_eq!(built.stats, direct.stats);
         let names: Vec<&String> = built.per_collector.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["rrc00", "rrc01"]);
+        for (name, member) in [("rrc00", &a), ("rrc01", &b)] {
+            let (counts, ov) = built.collector(name).unwrap().sink.clone();
+            assert_eq!(counts.finish(), classify_archive(member).counts, "{name}");
+            assert_eq!(ov.finish(), overview(member), "{name}");
+        }
+        let mut batch = classify_archive(&a).counts;
+        batch.merge(&classify_archive(&b).counts);
+        let (counts, _) = built.combined;
+        assert_eq!(counts.finish(), batch);
+        assert_eq!(built.stats.updates, (a.update_count() + b.update_count()) as u64);
     }
 
     #[test]

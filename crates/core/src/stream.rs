@@ -15,7 +15,7 @@ use kcc_bgp_types::{AttrStore, MessageKind, PathAttributes, Prefix, PrefixMap, R
 use kcc_collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
 
 use crate::classify::{classify_pair, AnnouncementType, TypeCounts};
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// What one stream event was classified as.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,7 +297,9 @@ impl Merge for CountsSink {
 /// Classifies a whole archive — the batch wrapper over the streaming
 /// pipeline ([`ArchiveSource`] → [`ClassifiedArchiveSink`]).
 pub fn classify_archive(archive: &UpdateArchive) -> ClassifiedArchive {
-    run_pipeline(ArchiveSource::new(archive), (), ClassifiedArchiveSink::default())
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(ClassifiedArchiveSink::default())
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

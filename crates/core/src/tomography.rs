@@ -28,7 +28,7 @@ use kcc_bgp_types::geo::decode_geo;
 use kcc_bgp_types::{Asn, Community, MessageKind, RouteUpdate};
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// Accumulated per-AS evidence.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -281,7 +281,9 @@ pub fn infer_behaviors(
     archive: &UpdateArchive,
     cfg: &TomographyConfig,
 ) -> BTreeMap<Asn, InferredBehavior> {
-    run_pipeline(ArchiveSource::new(archive), (), TomographySink::new(*cfg))
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(TomographySink::new(*cfg))
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

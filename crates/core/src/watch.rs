@@ -65,12 +65,6 @@ pub struct WatchConfig {
     /// Consecutive silent windows (while others are active) before a
     /// collector outage fires.
     pub outage_windows: u64,
-    /// Run per-prefix origin / on-path checks (hijack, leak).
-    pub path_checks: bool,
-    /// Run per-community announce-rate and session-fan-out checks.
-    pub rate_checks: bool,
-    /// Run per-collector outage checks.
-    pub outage_checks: bool,
 }
 
 impl Default for WatchConfig {
@@ -82,9 +76,6 @@ impl Default for WatchConfig {
             rate_factor: 8,
             rate_min: 16,
             outage_windows: 2,
-            path_checks: true,
-            rate_checks: true,
-            outage_checks: true,
         }
     }
 }
@@ -95,17 +86,6 @@ impl WatchConfig {
     /// profiler) the output equals the batch detector's.
     pub fn whole_day() -> Self {
         WatchConfig { window_us: u64::MAX, ..Default::default() }
-    }
-
-    /// Only the §7 profile checks (novel community, blackhole
-    /// injection, distinct-attribute bursts).
-    pub fn profile_only() -> Self {
-        WatchConfig {
-            path_checks: false,
-            rate_checks: false,
-            outage_checks: false,
-            ..Default::default()
-        }
     }
 }
 
@@ -460,15 +440,9 @@ impl WatchSink {
                 ));
             }
         }
-        if self.cfg.path_checks {
-            self.path_alerts(&mut alerts);
-        }
-        if self.cfg.rate_checks {
-            self.rate_alerts(&mut alerts);
-        }
-        if self.cfg.outage_checks {
-            self.outage_alerts(&mut alerts);
-        }
+        self.path_alerts(&mut alerts);
+        self.rate_alerts(&mut alerts);
+        self.outage_alerts(&mut alerts);
         sort_alerts(&mut alerts);
         let windows: BTreeSet<u64> =
             self.collectors.values().flat_map(|m| m.keys().copied()).collect();
@@ -508,12 +482,9 @@ impl AnalysisSink for WatchSink {
         let MessageKind::Announcement(attrs) = &u.kind else {
             // Withdrawals: attribute to the communities last announced
             // on this stream (withdrawals carry no attributes).
-            if self.cfg.rate_checks {
-                if let Some(comms) = self.last_comms.get(&(key.clone(), u.prefix)) {
-                    for c in comms {
-                        self.communities.entry(*c).or_default().entry(w).or_default().withdraws +=
-                            1;
-                    }
+            if let Some(comms) = self.last_comms.get(&(key.clone(), u.prefix)) {
+                for c in comms {
+                    self.communities.entry(*c).or_default().entry(w).or_default().withdraws += 1;
                 }
             }
             return;
@@ -542,23 +513,21 @@ impl AnalysisSink for WatchSink {
         }
 
         // Per-prefix origin / on-path presence.
-        if self.cfg.path_checks {
-            if let Some(origin) = attrs.as_path.origin() {
-                let sighting = Sighting { time_us: u.time_us, session: key.clone() };
-                let pw = self.prefixes.entry(u.prefix).or_default().entry(w).or_default();
-                min_sighting(&mut pw.origins, origin, sighting.clone());
-                for asn in attrs.as_path.asns() {
-                    let k = (key.collector.clone(), asn);
-                    match pw.onpath.get_mut(&k) {
-                        Some((cur, cur_origin)) => {
-                            if sighting < *cur {
-                                *cur = sighting.clone();
-                                *cur_origin = origin;
-                            }
+        if let Some(origin) = attrs.as_path.origin() {
+            let sighting = Sighting { time_us: u.time_us, session: key.clone() };
+            let pw = self.prefixes.entry(u.prefix).or_default().entry(w).or_default();
+            min_sighting(&mut pw.origins, origin, sighting.clone());
+            for asn in attrs.as_path.asns() {
+                let k = (key.collector.clone(), asn);
+                match pw.onpath.get_mut(&k) {
+                    Some((cur, cur_origin)) => {
+                        if sighting < *cur {
+                            *cur = sighting.clone();
+                            *cur_origin = origin;
                         }
-                        None => {
-                            pw.onpath.insert(k, (sighting.clone(), origin));
-                        }
+                    }
+                    None => {
+                        pw.onpath.insert(k, (sighting.clone(), origin));
                     }
                 }
             }
@@ -567,18 +536,12 @@ impl AnalysisSink for WatchSink {
         // Per-community rates, fan-out and the agreement matrix.
         for c in attrs.communities.iter_classic() {
             self.matrix.observe(&key.collector, *c, w);
-            if self.cfg.rate_checks {
-                let cw = self.communities.entry(*c).or_default().entry(w).or_default();
-                cw.announces += 1;
-                cw.fanout.insert(session_hash(key));
-            }
+            let cw = self.communities.entry(*c).or_default().entry(w).or_default();
+            cw.announces += 1;
+            cw.fanout.insert(session_hash(key));
         }
-        if self.cfg.rate_checks {
-            self.last_comms.insert(
-                (key.clone(), u.prefix),
-                attrs.communities.iter_classic().copied().collect(),
-            );
-        }
+        self.last_comms
+            .insert((key.clone(), u.prefix), attrs.communities.iter_classic().copied().collect());
         if let Some(m) = &self.metrics {
             let fired = self.alerts.len() - alerts_before;
             if fired > 0 {
@@ -647,7 +610,7 @@ impl Merge for WatchSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, run_sharded};
+    use crate::pipeline::PipelineBuilder;
     use kcc_bgp_types::community::well_known::BLACKHOLE;
     use kcc_bgp_types::{CommunitySet, PathAttributes};
     use kcc_collector::{ArchiveSource, UpdateArchive};
@@ -679,7 +642,12 @@ mod tests {
     }
 
     fn run(archive: &UpdateArchive, cfg: WatchConfig) -> WatchReport {
-        run_pipeline(ArchiveSource::new(archive), (), WatchSink::new(cfg)).unwrap().sink.finish()
+        PipelineBuilder::new(ArchiveSource::new(archive))
+            .sink(WatchSink::new(cfg))
+            .run()
+            .unwrap()
+            .sink
+            .finish()
     }
 
     #[test]
@@ -830,7 +798,8 @@ mod tests {
         profiler.train(&train);
         let batch = profiler.detect(&test, &AnomalyConfig::default());
         let sink = WatchSink::new(WatchConfig::whole_day()).with_profile(Arc::new(profiler));
-        let report = run_pipeline(ArchiveSource::new(&test), (), sink).unwrap().sink.finish();
+        let report =
+            PipelineBuilder::new(ArchiveSource::new(&test)).sink(sink).run().unwrap().sink.finish();
         assert_eq!(report.alerts, batch);
         assert_eq!(report.alerts.len(), 2);
     }
@@ -878,11 +847,13 @@ mod tests {
         let serial = run(&a, cfg());
         assert!(!serial.alerts.is_empty());
         for shards in [2, 3, 5] {
-            let sharded =
-                run_sharded(ArchiveSource::new(&a), shards, || (), || WatchSink::new(cfg()))
-                    .unwrap()
-                    .sink
-                    .finish();
+            let sharded = PipelineBuilder::new(ArchiveSource::new(&a))
+                .sink(WatchSink::new(cfg()))
+                .shards(shards)
+                .run()
+                .unwrap()
+                .sink
+                .finish();
             assert_eq!(sharded.alerts, serial.alerts, "{shards} shards diverged");
             assert_eq!(sharded.updates, serial.updates);
             assert_eq!(sharded.matrix.presence(), serial.matrix.presence());

@@ -1,7 +1,9 @@
 //! The outbound BGP speaker: dial, handshake, stream UPDATEs.
 //!
-//! [`ActiveSpeaker`] is the client half the loopback bridge and the
-//! ingest benchmark use to feed a live collector. The handshake is driven
+//! [`ActiveSpeaker`] is a single hand-driven client session — the
+//! daemon-config and reactor tests use it to poke one session of a live
+//! collector at a time (archive replay goes through
+//! [`crate::FloodRig`]). The handshake is driven
 //! through the same [`Fsm`] as the collector side — OPEN out, OPEN in,
 //! KEEPALIVE exchange — synchronously on the calling thread (a handshake
 //! is strictly sequential, so threads would buy nothing). Once

@@ -87,6 +87,22 @@ pub enum SessionIdentity {
     SourceAddr,
 }
 
+/// The BGP identifier a session's peer IP maps to — what a speaker
+/// replaying an archive session announces, and so what the daemon keys
+/// the session by under [`SessionIdentity::BgpId`]: v4 addresses map
+/// directly (reproducing the offline session key), v6 addresses hash
+/// into a deterministic v4 identifier.
+pub fn bgp_id_for(peer_ip: IpAddr) -> Ipv4Addr {
+    match peer_ip {
+        IpAddr::V4(v4) => v4,
+        IpAddr::V6(v6) => {
+            let o = v6.octets();
+            let h = o.iter().fold(5381u32, |acc, b| acc.wrapping_mul(33).wrapping_add(*b as u32));
+            Ipv4Addr::from(h.to_be_bytes())
+        }
+    }
+}
+
 /// Daemon configuration. The hot-reloadable subset (stamp, route
 /// servers, MRT rotation) seeds the daemon's [`ConfigStore`]; the rest —
 /// identity, epoch, reactor shape — is fixed at bind time.
@@ -493,15 +509,22 @@ fn ingest_loop(
 /// reference the end-to-end loopback tests compare against, computed by
 /// applying the daemon's metadata and stamping rules to the same update
 /// set. Only [`StampMode::Logical`] yields a meaningful reference
-/// (`Arrival` depends on the wall clock).
+/// (`Arrival` depends on the wall clock). Under
+/// [`SessionIdentity::BgpId`] peer IPs map through [`bgp_id_for`], as
+/// the daemon keys a session replayed from `input` (e.g. by a
+/// [`crate::FloodPlan`]).
 pub fn offline_reference(input: &UpdateArchive, cfg: &CollectorConfig) -> UpdateArchive {
     let mut out = UpdateArchive::new(cfg.epoch_seconds);
     let mut renamed = 0usize;
     for (key, rec) in input.sessions() {
         renamed += 1;
-        let key = SessionKey::new(&cfg.collector, key.peer_asn, key.peer_ip);
+        let peer_ip = match cfg.identity {
+            SessionIdentity::BgpId => IpAddr::V4(bgp_id_for(key.peer_ip)),
+            SessionIdentity::SourceAddr => key.peer_ip,
+        };
+        let key = SessionKey::new(&cfg.collector, key.peer_asn, peer_ip);
         let route_server =
-            cfg.route_servers.iter().any(|&(asn, ip)| asn == key.peer_asn && ip == key.peer_ip);
+            cfg.route_servers.iter().any(|&(asn, ip)| asn == key.peer_asn && ip == peer_ip);
         out.add_session(PeerMeta { key: key.clone(), route_server, second_granularity: false });
         for (i, u) in rec.updates.iter().enumerate() {
             let mut u = u.clone();

@@ -1,10 +1,9 @@
 //! The many-session load rig: thousands of concurrent inbound BGP
 //! sessions driven nonblockingly from a single thread.
 //!
-//! The thread-per-session bridge (`kcc_bgp_sim::replay_archive`) tops
-//! out around the OS thread budget — useless for proving the reactor
-//! holds 5k sessions. [`FloodRig`] is the client-side mirror of the
-//! reactor: every planned session gets a nonblocking socket, a
+//! It is the one archive replayer: a thread per session would top out
+//! around the OS thread budget — useless for proving the reactor holds
+//! 5k sessions. [`FloodRig`] is the client-side mirror of the reactor: every planned session gets a nonblocking socket, a
 //! [`Fsm`], a [`FrameBuffer`] and a capped [`WriteQueue`], all
 //! multiplexed over one [`Poller`]. It runs in two explicit phases so
 //! soaks can assert *concurrency*, not just throughput:
@@ -23,7 +22,7 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,6 +32,7 @@ use kcc_bgp_wire::{encode_update, Message, Notification, SessionConfig, UpdatePa
 use kcc_collector::UpdateArchive;
 
 use crate::clock::{Clock, WallClock};
+use crate::collector::bgp_id_for;
 use crate::fsm::{Action, Fsm, FsmConfig, FsmEvent};
 use crate::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use crate::sys::{new_poller, PollEvent, Poller, PollerKind};
@@ -52,25 +52,10 @@ pub struct FloodPlan {
     sessions: Vec<PlanSession>,
 }
 
-/// The BGP identifier a planned peer IP maps to — the same mapping the
-/// sim bridge uses, so the daemon's BGP-ID session keying reconstructs
-/// the archive's session keys exactly: v4 addresses map directly, v6
-/// addresses hash into a deterministic v4 identifier.
-fn bgp_id_for(peer_ip: IpAddr) -> Ipv4Addr {
-    match peer_ip {
-        IpAddr::V4(v4) => v4,
-        IpAddr::V6(v6) => {
-            let o = v6.octets();
-            let h = o.iter().fold(5381u32, |acc, b| acc.wrapping_mul(33).wrapping_add(*b as u32));
-            Ipv4Addr::from(h.to_be_bytes())
-        }
-    }
-}
-
 impl FloodPlan {
     /// One flood session per archive session, announcing the session
-    /// key's peer AS and (as BGP identifier) its peer IP, streaming the
-    /// session's updates in archive order.
+    /// key's peer AS and (as BGP identifier, via [`bgp_id_for`]) its peer
+    /// IP, streaming the session's updates in archive order.
     pub fn from_archive(archive: &UpdateArchive, hold_time: u16) -> Self {
         let sessions = archive
             .sessions()

@@ -11,7 +11,8 @@
 //! unit-testable without a single real sleep.
 //!
 //! Simplifications relative to the full RFC: no DelayOpen, no connection
-//! collision resolution (the collector is the passive side and the bridge
+//! collision resolution (the collector is the passive side and the
+//! speakers dialing it — [`crate::FloodRig`], [`crate::ActiveSpeaker`] —
 //! the active side, so simultaneous opens cannot arise in this system),
 //! and decode errors on UPDATEs tear the session down with the matching
 //! NOTIFICATION rather than RFC 7606 treat-as-withdraw (the codec's

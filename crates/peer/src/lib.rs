@@ -31,12 +31,13 @@
 //!   every layer can emit filtered diagnostics,
 //! * [`control`]: the line-protocol control socket driving the config
 //!   store from outside the process,
-//! * [`active`]: the outbound speaker (used by the `bgp-sim` loopback
-//!   bridge and benchmarks): dial, handshake through the same FSM, then
-//!   stream UPDATEs,
-//! * [`flood`]: the nonblocking many-session load rig — drives
-//!   thousands of concurrent inbound sessions from a single thread, for
-//!   soaks and scaling benchmarks,
+//! * [`active`]: the single-session outbound speaker (used by the
+//!   daemon tests): dial, handshake through the same FSM, then stream
+//!   UPDATEs,
+//! * [`flood`]: the nonblocking many-session load rig and the one
+//!   archive replayer — drives thousands of concurrent inbound sessions
+//!   from a single thread, for loopback end-to-end tests, soaks and
+//!   scaling benchmarks,
 //! * [`rotate`]: periodic MRT dump rotation, so live capture round-trips
 //!   through the same offline files a RouteViews/RIS download would,
 //! * [`collector`]: the multi-peer collector daemon — reactor-backed
@@ -67,7 +68,8 @@ pub use kcc_obs::trace;
 pub use active::{ActiveSpeaker, PeerError};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use collector::{
-    offline_reference, Collector, CollectorConfig, CollectorStats, SessionIdentity, StampMode,
+    bgp_id_for, offline_reference, Collector, CollectorConfig, CollectorStats, SessionIdentity,
+    StampMode,
 };
 pub use config::{ConfigStore, DaemonConfig, PeerPolicy};
 pub use control::ControlServer;

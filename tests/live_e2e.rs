@@ -12,30 +12,40 @@
 use keep_communities_clean::adapter::capture_to_archive;
 use keep_communities_clean::analysis::table::{OverviewSink, OverviewStats, TypeShares};
 use keep_communities_clean::analysis::{
-    run_live, run_pipeline, CleaningConfig, CleaningStage, CountsSink, MrtSource, TypeCounts,
+    CleaningConfig, CleaningStage, CountsSink, MrtSource, PipelineBuilder, TypeCounts,
 };
-use keep_communities_clean::collector::{ArchiveSource, UpdateArchive};
+use keep_communities_clean::collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
 use keep_communities_clean::peer::{
-    offline_reference, Collector, CollectorConfig, RotateConfig, StampMode,
+    bgp_id_for, offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan,
+    FloodReport, FloodRig, RotateConfig, StampMode,
 };
-use keep_communities_clean::sim::bridge::{replay_archive, BridgeConfig};
 use keep_communities_clean::sim::lab::{build_lab, lab_prefix, LabExperiment, LabNetwork};
 use keep_communities_clean::sim::{SimDuration, SimTime, VendorProfile};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::Asn;
+use std::net::{IpAddr, SocketAddr};
 
 /// Collector config used by every test: logical stamping, route-server
 /// metadata lifted from the input archive (the daemon cannot learn it
-/// from the wire, exactly like MRT).
+/// from the wire, exactly like MRT) and named by the BGP identifier the
+/// daemon keys each session by.
 fn collector_cfg(input: &UpdateArchive) -> CollectorConfig {
     let route_servers: Vec<_> = input
         .sessions()
         .filter(|(_, rec)| rec.meta.route_server)
-        .map(|(k, _)| (k.peer_asn, k.peer_ip))
+        .map(|(k, _)| (k.peer_asn, IpAddr::V4(bgp_id_for(k.peer_ip))))
         .collect();
     CollectorConfig::new("rrc00", Asn(3333), "198.51.100.1".parse().unwrap())
         .with_stamp(StampMode::logical(1_000))
         .with_route_servers(route_servers)
+}
+
+/// Replays every session of `input` into the daemon at `addr` as a real
+/// TCP BGP session.
+fn replay(addr: SocketAddr, input: &UpdateArchive) -> FloodReport {
+    FloodRig::connect(addr, FloodPlan::from_archive(input, 90), FloodOptions::default())
+        .and_then(FloodRig::stream)
+        .expect("replay")
 }
 
 /// Replays `input` into a fresh daemon and returns the live pipeline's
@@ -49,14 +59,17 @@ fn run_live_loopback(
     let source = collector.take_source();
     let stop = source.shutdown_flag();
 
-    let report = replay_archive(addr, input, &BridgeConfig::default()).expect("replay");
-    assert_eq!(report.updates_sent, input.update_count() as u64, "bridge sent everything");
+    let report = replay(addr, input);
+    assert_eq!(report.updates_sent, input.update_count() as u64, "rig sent everything");
     assert_eq!(report.sessions, input.session_count() as u64);
 
     collector.shutdown();
     let stats = collector.join();
     // The feed is closed and fully buffered; the pipeline drains it.
-    let out = run_live(source, (), (CountsSink::default(), OverviewSink::default()), &stop)
+    let out = PipelineBuilder::new(source)
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .shutdown(&stop)
+        .run()
         .expect("live sources do not fail");
     let (counts, overview) = out.sink;
     (counts.finish(), overview.finish(), stats)
@@ -65,12 +78,10 @@ fn run_live_loopback(
 /// Offline half of the comparison: `ArchiveSource` over the reference
 /// archive with the same sinks.
 fn run_offline(reference: &UpdateArchive) -> (TypeCounts, OverviewStats) {
-    let out = run_pipeline(
-        ArchiveSource::new(reference),
-        (),
-        (CountsSink::default(), OverviewSink::default()),
-    )
-    .expect("archive sources do not fail");
+    let out = PipelineBuilder::new(ArchiveSource::new(reference))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .run()
+        .expect("archive sources do not fail");
     let (counts, overview) = out.sink;
     (counts.finish(), overview.finish())
 }
@@ -135,24 +146,22 @@ fn generated_internet_over_tcp_matches_offline_with_cleaning() {
     let addr = collector.local_addr();
     let source = collector.take_source();
     let stop = source.shutdown_flag();
-    replay_archive(addr, &input, &BridgeConfig::default()).expect("replay");
+    replay(addr, &input);
     collector.shutdown();
     collector.join();
-    let live = run_live(
-        source,
-        CleaningStage::new(&day.registry, CleaningConfig::default()),
-        (CountsSink::default(), OverviewSink::default()),
-        &stop,
-    )
-    .expect("live run");
+    let live = PipelineBuilder::new(source)
+        .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .shutdown(&stop)
+        .run()
+        .expect("live run");
 
     // Offline: ArchiveSource over the reference with the same stage.
-    let offline = run_pipeline(
-        ArchiveSource::new(&reference),
-        CleaningStage::new(&day.registry, CleaningConfig::default()),
-        (CountsSink::default(), OverviewSink::default()),
-    )
-    .expect("offline run");
+    let offline = PipelineBuilder::new(ArchiveSource::new(&reference))
+        .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .run()
+        .expect("offline run");
 
     let (live_counts, live_overview) = live.sink;
     let (off_counts, off_overview) = offline.sink;
@@ -180,11 +189,11 @@ fn rotated_mrt_dumps_reanalyze_to_the_same_tables() {
     // download.
     let bytes =
         keep_communities_clean::peer::rotate::concat_dumps(&stats.mrt_files).expect("read dumps");
-    let out = run_pipeline(
+    let out = PipelineBuilder::new(
         MrtSource::new(&bytes[..], "rrc00", 0).with_route_servers(route_servers),
-        (),
-        (CountsSink::default(), OverviewSink::default()),
     )
+    .sink((CountsSink::default(), OverviewSink::default()))
+    .run()
     .expect("mrt reanalysis");
     let (mrt_counts, mrt_overview) = out.sink;
     assert_eq!(mrt_counts.finish(), live_counts, "MRT round-trip diverged from live");
@@ -222,8 +231,8 @@ fn reconnect_after_cease_continues_the_same_session() {
     let source = collector.take_source();
     let stop = source.shutdown_flag();
 
-    replay_archive(addr, &single, &BridgeConfig::default()).expect("first life");
-    replay_archive(addr, &single, &BridgeConfig::default()).expect("second life");
+    replay(addr, &single); // first life
+    replay(addr, &single); // second life
     collector.shutdown();
     let stats = collector.join();
 
@@ -231,7 +240,54 @@ fn reconnect_after_cease_continues_the_same_session() {
     assert_eq!(stats.sessions, 1, "one logical session");
     assert_eq!(stats.updates, 2 * single.update_count() as u64);
 
-    let out = run_live(source, (), OverviewSink::default(), &stop).expect("live run");
+    let out = PipelineBuilder::new(source)
+        .sink(OverviewSink::default())
+        .shutdown(&stop)
+        .run()
+        .expect("live run");
     assert_eq!(out.stats.sessions, 1, "pipeline saw one session, announced once");
     assert_eq!(out.stats.updates, 2 * single.update_count() as u64);
+}
+
+#[test]
+fn v6_peer_session_matches_offline_reference() {
+    // A v6 peer address cannot be a BGP identifier: the replaying
+    // speaker announces `bgp_id_for(ip)` and the daemon keys the session
+    // by it, so `offline_reference` must apply the same mapping — to the
+    // session key and to the route-server match.
+    let template = sim_archive();
+    let (_, rec) = template.sessions().next().expect("one session");
+    let mut input = UpdateArchive::new(0);
+    for (asn, ip, route_server) in [
+        (64_500, "2001:db8::7", true),
+        (64_501, "2001:db8::8", false),
+        (64_502, "192.0.2.7", false),
+    ] {
+        let key = SessionKey::new("rrc00", Asn(asn), ip.parse().unwrap());
+        input.add_session(PeerMeta { key: key.clone(), route_server, second_granularity: false });
+        for u in &rec.updates {
+            input.record(&key, u.clone());
+        }
+    }
+    let cfg = collector_cfg(&input);
+    let reference = offline_reference(&input, &cfg);
+
+    let mut collector = Collector::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = collector.local_addr();
+    let mut source = collector.take_source();
+    replay(addr, &input);
+    collector.shutdown();
+    collector.join();
+    let live = UpdateArchive::from_source(&mut source, 0).expect("live feed");
+
+    let sessions = |a: &UpdateArchive| {
+        let mut s: Vec<_> = a.sessions().map(|(k, r)| (k.clone(), r.meta.route_server)).collect();
+        s.sort();
+        s
+    };
+    assert_eq!(sessions(&live), sessions(&reference), "live and offline session keys differ");
+    for (key, rec) in reference.sessions() {
+        let got = live.session(key).expect("session seen live");
+        assert_eq!(got.updates, rec.updates, "session {key} diverged");
+    }
 }

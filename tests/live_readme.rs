@@ -7,10 +7,11 @@
 
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
-use keep_communities_clean::analysis::{run_pipeline, CountsSink};
+use keep_communities_clean::analysis::CountsSink;
 use keep_communities_clean::collector::ArchiveSource;
-use keep_communities_clean::peer::{offline_reference, Collector, CollectorConfig, StampMode};
-use keep_communities_clean::sim::bridge::{replay_archive, BridgeConfig};
+use keep_communities_clean::peer::{
+    offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig, StampMode,
+};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::Asn;
 
@@ -32,7 +33,10 @@ fn readme_live_example_runs_and_matches_offline() {
     gen.universe.n_sessions = 24;
     gen.universe.n_prefixes_v4 = 200;
     let day = generate_mar20(&gen);
-    replay_archive(collector.local_addr(), &day.archive, &BridgeConfig::default()).unwrap();
+    let plan = FloodPlan::from_archive(&day.archive, 90);
+    FloodRig::connect(collector.local_addr(), plan, FloodOptions::default())
+        .and_then(FloodRig::stream)
+        .unwrap();
     collector.shutdown();
     let stats = collector.join();
     assert_eq!(stats.updates, day.archive.update_count() as u64);
@@ -56,12 +60,10 @@ fn readme_live_example_runs_and_matches_offline() {
     // daemon's stamping/metadata rules, which `offline_reference`
     // computes).
     let reference = offline_reference(&day.archive, &cfg);
-    let offline = run_pipeline(
-        ArchiveSource::new(&reference),
-        (),
-        (CountsSink::default(), OverviewSink::default()),
-    )
-    .unwrap();
+    let offline = PipelineBuilder::new(ArchiveSource::new(&reference))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .run()
+        .unwrap();
     let (off_counts, off_overview) = offline.sink;
     assert_eq!(counts, off_counts.finish(), "README's live counts != offline");
     assert_eq!(overview, off_overview.finish(), "README's live overview != offline");

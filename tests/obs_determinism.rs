@@ -12,7 +12,7 @@
 use keep_communities_clean::analysis::corpus::run_corpus_report;
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::{
-    run_pipeline, CleaningConfig, Corpus, CorpusReport, WatchConfig, WatchSink,
+    CleaningConfig, Corpus, CorpusReport, WatchConfig, WatchSink,
 };
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::obs::Registry;
@@ -113,7 +113,9 @@ fn watch_metrics_export_is_shard_count_independent() {
     let archive = watch_archive();
     let cfg = WatchConfig::default();
 
-    let serial = run_pipeline(ArchiveSource::new(&archive), (), WatchSink::new(cfg))
+    let serial = PipelineBuilder::new(ArchiveSource::new(&archive))
+        .sink(WatchSink::new(cfg))
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish();

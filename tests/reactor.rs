@@ -9,6 +9,7 @@ use std::time::Duration;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use keep_communities_clean::analysis::{CountsSink, PipelineBuilder};
 use keep_communities_clean::collector::{SessionKey, UpdateArchive};
 use keep_communities_clean::peer::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use keep_communities_clean::peer::{
@@ -266,13 +267,11 @@ fn poll_and_epoll_backends_ingest_identically() {
             collector.shutdown();
             collector.join()
         });
-        let out = keep_communities_clean::analysis::run_live(
-            source,
-            (),
-            keep_communities_clean::analysis::CountsSink::default(),
-            &stop,
-        )
-        .expect("live run");
+        let out = PipelineBuilder::new(source)
+            .sink(CountsSink::default())
+            .shutdown(&stop)
+            .run()
+            .expect("live run");
         let stats = coordinator.join().expect("coordinator");
         (out.sink.finish(), stats.updates)
     };

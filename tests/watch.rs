@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::{
-    run_pipeline, CommunityProfiler, Corpus, WatchConfig, WatchReport, WatchSink,
+    CommunityProfiler, Corpus, WatchConfig, WatchReport, WatchSink,
 };
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::types::{
@@ -159,14 +159,12 @@ proptest! {
 
         let cfg = WatchConfig::whole_day();
         let batch = profiler.detect(&day, &cfg.anomaly);
-        let online = run_pipeline(
-            ArchiveSource::new(&day),
-            (),
-            WatchSink::new(cfg).with_profile(Arc::clone(&profiler)),
-        )
-        .expect("archive sources cannot fail")
-        .sink
-        .finish();
+        let online = PipelineBuilder::new(ArchiveSource::new(&day))
+            .sink(WatchSink::new(cfg).with_profile(Arc::clone(&profiler)))
+            .run()
+            .expect("archive sources cannot fail")
+            .sink
+            .finish();
 
         let batch_lines: Vec<String> = batch.iter().map(|a| a.to_line()).collect();
         prop_assert_eq!(alert_lines(&online), batch_lines);
@@ -178,7 +176,9 @@ proptest! {
     #[test]
     fn watch_report_is_shard_count_independent(archive in arb_archive()) {
         let cfg = WatchConfig::default();
-        let serial = run_pipeline(ArchiveSource::new(&archive), (), WatchSink::new(cfg))
+        let serial = PipelineBuilder::new(ArchiveSource::new(&archive))
+            .sink(WatchSink::new(cfg))
+            .run()
             .expect("archive sources cannot fail")
             .sink
             .finish();
