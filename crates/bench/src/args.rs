@@ -1,5 +1,7 @@
 //! Minimal command-line argument parsing for the harness binaries.
 
+use std::str::FromStr;
+
 /// Parsed common arguments: `--seed N`, `--scale F`, `--quick`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Args {
@@ -20,25 +22,13 @@ impl Default for Args {
 impl Args {
     /// Parses from an iterator of arguments (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
-        let mut out = Args::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        out.seed = v;
-                    }
-                }
-                "--scale" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        out.scale = v;
-                    }
-                }
-                "--quick" => out.quick = true,
-                _ => {}
-            }
+        let argv: Vec<String> = args.into_iter().collect();
+        let d = Args::default();
+        Args {
+            seed: flag(&argv, "--seed").unwrap_or(d.seed),
+            scale: flag(&argv, "--scale").unwrap_or(d.scale),
+            quick: argv.iter().any(|a| a == "--quick"),
         }
-        out
     }
 
     /// Parses from the process environment.
@@ -55,6 +45,20 @@ impl Args {
             scaled.max(1)
         }
     }
+}
+
+/// The value after the last `name` in `argv` that parses as `T`; `None`
+/// when the flag is absent or none of its values parse. Lenient like every
+/// harness flag: unknown flags and bad values are ignored.
+pub fn flag<T: FromStr>(argv: &[String], name: &str) -> Option<T> {
+    argv.windows(2).rev().filter(|w| w[0] == name).find_map(|w| w[1].parse().ok())
+}
+
+/// The comma-separated list after the last `name` in `argv`, keeping the
+/// items that parse as `T`; `None` when the flag is absent.
+pub fn list<T: FromStr>(argv: &[String], name: &str) -> Option<Vec<T>> {
+    let value = &argv.windows(2).rev().find(|w| w[0] == name)?[1];
+    Some(value.split(',').filter_map(|s| s.trim().parse().ok()).collect())
 }
 
 #[cfg(test)]
@@ -92,5 +96,14 @@ mod tests {
         let q = parse(&["--quick"]);
         assert_eq!(q.sized(100), 10);
         assert_eq!(q.sized(1), 1);
+    }
+
+    #[test]
+    fn flag_and_list_take_the_last_parseable_value() {
+        let argv = ["--threads", "2", "--sizes", "10, x,20", "--threads", "bad"].map(String::from);
+        assert_eq!(flag::<usize>(&argv, "--threads"), Some(2));
+        assert_eq!(flag::<String>(&argv, "--out"), None);
+        assert_eq!(list::<u64>(&argv, "--sizes"), Some(vec![10, 20]));
+        assert_eq!(list::<u64>(&argv, "--peers"), None);
     }
 }

@@ -18,7 +18,9 @@
 
 use std::time::Instant;
 
+use kcc_bench::args::{flag, list};
 use kcc_bench::mrtgen::{generate_mrt_day, generate_vantage_mrt, MrtDay};
+use kcc_bench::report::{self, object};
 use kcc_core::corpus::run_corpus_report;
 use kcc_core::table::OverviewSink;
 use kcc_core::{CleaningConfig, CleaningStage, Corpus, CountsSink, MrtSource, PipelineBuilder};
@@ -44,37 +46,11 @@ fn vantage_cfg(collectors: usize, target: u64) -> MultiVantageConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut collector_counts: Vec<usize> = vec![1, 2, 4];
-    let mut target = 40_000u64;
-    let mut threads = 4usize;
-    let mut out_path = String::from("BENCH_corpus.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--collectors" => {
-                if let Some(v) = it.next() {
-                    collector_counts = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                }
-            }
-            "--target" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    target = v;
-                }
-            }
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    threads = v;
-                }
-            }
-            "--out" => {
-                if let Some(v) = it.next() {
-                    out_path = v.clone();
-                }
-            }
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let collector_counts: Vec<usize> = list(&argv, "--collectors").unwrap_or_else(|| vec![1, 2, 4]);
+    let target: u64 = flag(&argv, "--target").unwrap_or(40_000);
+    let threads: usize = flag(&argv, "--threads").unwrap_or(4);
+    let out_path: String = flag(&argv, "--out").unwrap_or_else(|| "BENCH_corpus.json".into());
 
     let mut rows = Vec::new();
     for &k in &collector_counts {
@@ -158,15 +134,18 @@ fn main() {
             "   corpus×{threads}: {seconds:.3}s  ({updates_per_sec:.0} updates/s, peak state {} bytes)",
             report.stats.peak_state_bytes
         );
-        rows.push(format!(
-            "{{\"collectors\":{k},\"updates\":{},\"mrt_bytes\":{total_bytes},\
-             \"threads\":{threads},\"seconds\":{seconds:.6},\
-             \"updates_per_sec\":{updates_per_sec:.0},\"peak_state_bytes\":{}}}",
-            report.stats.updates, report.stats.peak_state_bytes
-        ));
+        rows.push(object([
+            ("collectors", k.into()),
+            ("updates", report.stats.updates.into()),
+            ("mrt_bytes", total_bytes.into()),
+            ("threads", threads.into()),
+            ("seconds", seconds.into()),
+            ("updates_per_sec", updates_per_sec.into()),
+            ("peak_state_bytes", report.stats.peak_state_bytes.into()),
+        ]));
     }
 
-    let json = format!("{{\"bench\":\"corpus\",\"results\":[{}]}}\n", rows.join(","));
-    std::fs::write(&out_path, &json).expect("write BENCH_corpus.json");
+    let json = report::write(&object([("bench", "corpus".into()), ("results", rows.into())]));
+    std::fs::write(&out_path, json).expect("write BENCH_corpus.json");
     println!("wrote {out_path}");
 }

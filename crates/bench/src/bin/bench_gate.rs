@@ -1,12 +1,16 @@
 //! Throughput regression gate: compares a freshly measured `BENCH_*.json`
 //! against the committed baseline and fails on drift beyond a tolerance.
 //!
-//! Both files are parsed **structurally** (a small recursive-descent JSON
-//! parser — no string scanning): every leaf is addressed by its path
-//! (`results[0].streaming.updates_per_sec`), so a renamed, moved or
-//! dropped key is a hard failure, not a silently re-paired comparison.
-//! Rates are matched baseline-path → fresh-path; any baseline key absent
-//! from the fresh run fails the gate.
+//! Both files are read through [`kcc_bench::report`]: every leaf is
+//! addressed by its path (`results[0].streaming.updates_per_sec`), so a
+//! renamed, moved or dropped key is a hard failure, not a silently
+//! re-paired comparison. Rates are matched baseline-path → fresh-path;
+//! any baseline key absent from the fresh run fails the gate.
+//!
+//! Both runs must also have measured the same workload: every baseline
+//! leaf that is not a measured figure (`bench`, `threads`, `updates`,
+//! `mrt_bytes`, `n_ases`, `counts.*`, …) must reproduce exactly in the
+//! fresh run, or the gate fails naming the path and both values.
 //!
 //! Each `updates_per_sec` pair is printed as a per-figure delta row
 //! (baseline, fresh, % change, verdict); `--summary FILE` additionally
@@ -20,231 +24,8 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (no dependencies).
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Object member order is preserved so report rows
-/// come out in file order.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    Number(f64),
-    String(String),
-    Bool(bool),
-    Null,
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser::new(text);
-        p.skip_ws();
-        let v = p.parse_value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing data after JSON value"));
-        }
-        Ok(v)
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(members));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Bench files are ASCII; surrogate pairs are out
-                            // of scope — map unpaired surrogates to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                        self.pos += 1;
-                    }
-                    s.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.error("invalid UTF-8 in string"))?,
-                    );
-                }
-                None => return Err(self.error("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Number)
-            .ok_or_else(|| self.error("invalid number"))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Path flattening and comparison.
-// ---------------------------------------------------------------------
-
-/// Flattens a JSON tree into `(path, leaf)` pairs in file order, with
-/// paths like `results[0].streaming.updates_per_sec`.
-fn flatten(value: &Json, prefix: &str, out: &mut Vec<(String, Json)>) {
-    match value {
-        Json::Object(members) => {
-            for (key, v) in members {
-                let path = if prefix.is_empty() { key.clone() } else { format!("{prefix}.{key}") };
-                flatten(v, &path, out);
-            }
-        }
-        Json::Array(items) => {
-            for (i, v) in items.iter().enumerate() {
-                flatten(v, &format!("{prefix}[{i}]"), out);
-            }
-        }
-        leaf => out.push((prefix.to_owned(), leaf.clone())),
-    }
-}
+use kcc_bench::args::flag;
+use kcc_bench::report::{flatten, is_measured, parse, Json};
 
 /// One compared throughput figure.
 struct Delta {
@@ -272,6 +53,9 @@ struct Comparison {
     overheads: Vec<Delta>,
     /// Baseline leaf paths with no counterpart in the fresh run.
     missing: Vec<String>,
+    /// Workload (non-[`is_measured`]) leaves whose fresh value differs
+    /// from the baseline's, as `(path, baseline, fresh)`.
+    mismatched: Vec<(String, Json, Json)>,
 }
 
 fn compare(baseline: &Json, measured: &Json) -> Comparison {
@@ -281,6 +65,7 @@ fn compare(baseline: &Json, measured: &Json) -> Comparison {
     flatten(measured, "", &mut meas_leaves);
 
     let mut missing = Vec::new();
+    let mut mismatched = Vec::new();
     let mut deltas = Vec::new();
     let mut overheads = Vec::new();
     for (path, value) in &base_leaves {
@@ -288,6 +73,9 @@ fn compare(baseline: &Json, measured: &Json) -> Comparison {
             missing.push(path.clone());
             continue;
         };
+        if !is_measured(path) && fresh != value {
+            mismatched.push((path.clone(), value.clone(), fresh.clone()));
+        }
         if let (true, Json::Number(b), Json::Number(m)) =
             (path.ends_with("updates_per_sec"), value, fresh)
         {
@@ -299,7 +87,7 @@ fn compare(baseline: &Json, measured: &Json) -> Comparison {
             overheads.push(Delta { path: path.clone(), baseline: *b, measured: *m });
         }
     }
-    Comparison { deltas, overheads, missing }
+    Comparison { deltas, overheads, missing, mismatched }
 }
 
 /// Renders the per-figure delta table (markdown — readable in job logs
@@ -345,54 +133,32 @@ fn render_overheads(overheads: &[Delta], cap: f64) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = 0.25f64;
-    let mut overhead_cap = 2.0f64;
-    let mut summary_path: Option<String> = None;
-    let mut files = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    tolerance = v;
-                }
-            }
-            "--overhead-cap" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    overhead_cap = v;
-                }
-            }
-            "--summary" => summary_path = it.next().cloned(),
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_gate [--tolerance FRACTION] [--overhead-cap PERCENT] \
-                     [--summary FILE] <baseline.json> <measured.json>"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => files.push(other.to_owned()),
-        }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!(
+            "usage: bench_gate [--tolerance FRACTION] [--overhead-cap PERCENT] \
+             [--summary FILE] <baseline.json> <measured.json>"
+        );
+        return ExitCode::SUCCESS;
     }
+    let tolerance: f64 = flag(&args, "--tolerance").unwrap_or(0.25);
+    let overhead_cap: f64 = flag(&args, "--overhead-cap").unwrap_or(2.0);
+    let summary_path: Option<String> = flag(&args, "--summary");
+    // Every gate flag takes a value; the rest are the two files.
+    let files: Vec<&String> = (0..args.len())
+        .filter(|&i| !args[i].starts_with("--") && (i == 0 || !args[i - 1].starts_with("--")))
+        .map(|i| &args[i])
+        .collect();
     let [baseline_path, measured_path] = files.as_slice() else {
         eprintln!("bench_gate: expected exactly two files (baseline, measured); see --help");
         return ExitCode::FAILURE;
     };
 
     let read_parse = |path: &str| -> Option<Json> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_gate: read {path}: {e}");
-                return None;
-            }
-        };
-        match Parser::parse(&text) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                eprintln!("bench_gate: parse {path}: {e}");
-                None
-            }
-        }
+        std::fs::read_to_string(path)
+            .map_err(|e| format!("read {path}: {e}"))
+            .and_then(|text| parse(&text).map_err(|e| format!("parse {path}: {e}")))
+            .map_err(|e| eprintln!("bench_gate: {e}"))
+            .ok()
     };
     let (Some(baseline), Some(measured)) = (read_parse(baseline_path), read_parse(measured_path))
     else {
@@ -408,6 +174,19 @@ fn main() -> ExitCode {
             "bench_gate: {} baseline key(s) absent from the fresh run — the bench shape \
              changed; regenerate the committed baseline",
             cmp.missing.len()
+        );
+        return ExitCode::FAILURE;
+    }
+    if !cmp.mismatched.is_empty() {
+        for (path, base, fresh) in &cmp.mismatched {
+            eprintln!(
+                "bench_gate: `{path}` is {base} in {baseline_path} but {fresh} in {measured_path}"
+            );
+        }
+        eprintln!(
+            "bench_gate: {} workload key(s) differ — the fresh run measured a different \
+             workload; rerun it with the baseline's parameters",
+            cmp.mismatched.len()
         );
         return ExitCode::FAILURE;
     }
@@ -468,42 +247,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn num(v: f64) -> Json {
-        Json::Number(v)
-    }
-
-    #[test]
-    fn parses_bench_shaped_json() {
-        let text = r#"{"bench":"pipeline","results":[{"updates":32130,
-            "streaming":{"seconds":0.06,"updates_per_sec":508458},
-            "ok":true,"note":null,"name":"a\nb"}]}"#;
-        let v = Parser::parse(text).unwrap();
-        let mut leaves = Vec::new();
-        flatten(&v, "", &mut leaves);
-        let find = |p: &str| leaves.iter().find(|(q, _)| q == p).map(|(_, v)| v.clone());
-        assert_eq!(find("bench"), Some(Json::String("pipeline".into())));
-        assert_eq!(find("results[0].streaming.updates_per_sec"), Some(num(508458.0)));
-        assert_eq!(find("results[0].ok"), Some(Json::Bool(true)));
-        assert_eq!(find("results[0].note"), Some(Json::Null));
-        assert_eq!(find("results[0].name"), Some(Json::String("a\nb".into())));
-    }
-
-    #[test]
-    fn rejects_malformed_json() {
-        assert!(Parser::parse("{\"a\":").is_err());
-        assert!(Parser::parse("[1,2,]").is_err());
-        assert!(Parser::parse("{} trailing").is_err());
-        assert!(Parser::parse("\"unterminated").is_err());
-    }
-
     #[test]
     fn matched_rates_compare_by_path() {
-        let base = Parser::parse(
+        let base = parse(
             r#"{"results":[{"streaming":{"updates_per_sec":100}},
                            {"streaming":{"updates_per_sec":200}}]}"#,
         )
         .unwrap();
-        let meas = Parser::parse(
+        let meas = parse(
             r#"{"results":[{"streaming":{"updates_per_sec":110}},
                            {"streaming":{"updates_per_sec":150}}]}"#,
         )
@@ -519,13 +270,10 @@ mod tests {
     fn renamed_key_is_reported_missing() {
         // The old string-scanning gate paired these two rates silently;
         // structurally, the rename is a missing baseline key.
-        let base = Parser::parse(
-            r#"{"streaming":{"updates_per_sec":100},"batch":{"updates_per_sec":90}}"#,
-        )
-        .unwrap();
+        let base = parse(r#"{"streaming":{"updates_per_sec":100},"batch":{"updates_per_sec":90}}"#)
+            .unwrap();
         let meas =
-            Parser::parse(r#"{"serial":{"updates_per_sec":100},"batch":{"updates_per_sec":90}}"#)
-                .unwrap();
+            parse(r#"{"serial":{"updates_per_sec":100},"batch":{"updates_per_sec":90}}"#).unwrap();
         let cmp = compare(&base, &meas);
         assert_eq!(cmp.missing, vec!["streaming.updates_per_sec".to_string()]);
         assert_eq!(cmp.deltas.len(), 1, "the surviving key still compares");
@@ -534,9 +282,8 @@ mod tests {
     #[test]
     fn dropped_array_entry_is_reported_missing() {
         let base =
-            Parser::parse(r#"{"results":[{"updates_per_sec":100},{"updates_per_sec":200}]}"#)
-                .unwrap();
-        let meas = Parser::parse(r#"{"results":[{"updates_per_sec":100}]}"#).unwrap();
+            parse(r#"{"results":[{"updates_per_sec":100},{"updates_per_sec":200}]}"#).unwrap();
+        let meas = parse(r#"{"results":[{"updates_per_sec":100}]}"#).unwrap();
         let cmp = compare(&base, &meas);
         assert_eq!(cmp.missing, vec!["results[1].updates_per_sec".to_string()]);
     }
@@ -547,7 +294,7 @@ mod tests {
         // count. Every point's rate must pair by path, and a vanished
         // point (say the 5000-session one regressing out of the sweep)
         // must fail the gate as a missing key, not pass silently.
-        let base = Parser::parse(
+        let base = parse(
             r#"{"bench":"live","results":[
                 {"peers":4,"updates":100000,"seconds":0.9,"updates_per_sec":110000},
                 {"peers":64,"updates":100000,"seconds":0.8,"updates_per_sec":126000},
@@ -560,7 +307,7 @@ mod tests {
         assert_eq!(full.deltas.len(), 4, "one gated rate per sweep point");
         assert!(full.deltas.iter().all(|d| d.path.starts_with("results[")));
 
-        let truncated = Parser::parse(
+        let truncated = parse(
             r#"{"bench":"live","results":[
                 {"peers":4,"updates":100000,"seconds":0.9,"updates_per_sec":110000}]}"#,
         )
@@ -574,12 +321,12 @@ mod tests {
 
     #[test]
     fn overhead_figures_are_collected_and_capped_absolutely() {
-        let base = Parser::parse(
+        let base = parse(
             r#"{"results":[{"instrumented":{"profile_every":64,
                 "result":{"updates_per_sec":100000},"overhead_percent":0.40}}]}"#,
         )
         .unwrap();
-        let meas = Parser::parse(
+        let meas = parse(
             r#"{"results":[{"instrumented":{"profile_every":64,
                 "result":{"updates_per_sec":99000},"overhead_percent":3.10}}]}"#,
         )
@@ -608,5 +355,36 @@ mod tests {
         let text = render_summary(&deltas, 0.25);
         assert!(text.contains("| a | 100 | 120 | +20.0% | ok |"), "{text}");
         assert!(text.contains("| b | 100 | 60 | -40.0% | OUT OF RANGE |"), "{text}");
+    }
+
+    /// The pipeline shape, trimmed: a 10k-target day, four shards.
+    const PIPELINE: &str = r#"{"bench":"pipeline","results":[{"target_announcements":10000,
+        "updates":32130,"streaming":{"seconds":0.030717,"updates_per_sec":1046010},
+        "sharded":{"threads":4,"result":{"seconds":0.063407,"updates_per_sec":506723}}}]}"#;
+
+    /// Workload mismatches gating `PIPELINE` against it with `from` → `to`.
+    fn mismatched_after(from: &str, to: &str) -> Vec<String> {
+        let cmp = compare(&parse(PIPELINE).unwrap(), &parse(&PIPELINE.replace(from, to)).unwrap());
+        assert!(cmp.missing.is_empty());
+        cmp.mismatched.into_iter().map(|(path, _, _)| path).collect()
+    }
+
+    #[test]
+    fn thread_count_mismatch_fails_the_gate() {
+        let paths = mismatched_after("\"threads\":4", "\"threads\":2");
+        assert_eq!(paths, ["results[0].sharded.threads"]);
+    }
+
+    #[test]
+    fn update_count_mismatch_fails_the_gate() {
+        // bench_corpus at --target 25000 against a 40000 baseline, say.
+        let paths = mismatched_after("\"updates\":32130", "\"updates\":31968");
+        assert_eq!(paths, ["results[0].updates"]);
+    }
+
+    #[test]
+    fn drifting_rates_on_the_same_workload_still_pass() {
+        assert!(mismatched_after("1046010", "900000").is_empty());
+        assert!(mismatched_after("0.063407", "0.070000").is_empty());
     }
 }

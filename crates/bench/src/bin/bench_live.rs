@@ -17,10 +17,11 @@
 //!     --peers 4,64,1000,5000 --updates 100000 --out BENCH_live.json
 //! ```
 
-use std::fmt::Write as _;
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Instant;
 
+use kcc_bench::args::{flag, list};
+use kcc_bench::report::{self, object};
 use kcc_bgp_types::Asn;
 use kcc_collector::{SessionKey, UpdateArchive};
 use kcc_core::{CountsSink, PipelineBuilder};
@@ -30,44 +31,13 @@ use kcc_peer::{
 };
 use kcc_tracegen::{generate_mar20, Mar20Config};
 
-struct Point {
-    peers: usize,
-    updates: u64,
-    seconds: f64,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut peer_points = vec![4usize, 64, 1_000, 5_000];
-    let mut total_updates = 100_000u64;
-    let mut repeat = 3u32;
-    let mut out_path = String::from("BENCH_live.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--peers" => {
-                if let Some(v) = it.next() {
-                    peer_points = v.split(',').filter_map(|s| s.parse().ok()).collect();
-                }
-            }
-            "--updates" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    total_updates = v;
-                }
-            }
-            "--repeat" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    repeat = v;
-                }
-            }
-            "--out" => {
-                if let Some(v) = it.next() {
-                    out_path = v.clone();
-                }
-            }
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let peer_points: Vec<usize> =
+        list(&argv, "--peers").unwrap_or_else(|| vec![4, 64, 1_000, 5_000]);
+    let total_updates: u64 = flag(&argv, "--updates").unwrap_or(100_000);
+    let repeat: u32 = flag(&argv, "--repeat").unwrap_or(3);
+    let out_path: String = flag(&argv, "--out").unwrap_or_else(|| "BENCH_live.json".into());
     assert!(repeat >= 1, "--repeat wants at least 1");
     assert!(!peer_points.is_empty(), "need at least one --peers point");
     // 2 fds per session (client + daemon side) plus headroom.
@@ -88,32 +58,19 @@ fn main() {
     // Each point is the best of `repeat` runs: the daemon shares the
     // machine with the rig and the pipeline, so single runs carry
     // scheduler noise the minimum filters out.
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &peers in &peer_points {
         let workload = deal(&all, peers, total_updates);
-        let mut best = run_point(peers, &workload);
-        for _ in 1..repeat {
-            let p = run_point(peers, &workload);
-            if p.seconds < best.seconds {
-                best = p;
-            }
-        }
-        points.push(best);
+        let updates = workload.update_count() as u64;
+        let seconds = (0..repeat).map(|_| run_point(peers, &workload)).fold(f64::MAX, f64::min);
+        rows.push(object([
+            ("peers", peers.into()),
+            ("updates", updates.into()),
+            ("seconds", seconds.into()),
+            ("updates_per_sec", (updates as f64 / seconds).into()),
+        ]));
     }
-
-    let mut json = String::from("{\"bench\":\"live\",\"results\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let rate = p.updates as f64 / p.seconds;
-        let _ = write!(
-            json,
-            "{{\"peers\":{},\"updates\":{},\"seconds\":{:.6},\"updates_per_sec\":{:.0}}}",
-            p.peers, p.updates, p.seconds, rate
-        );
-    }
-    json.push_str("]}\n");
+    let json = report::write(&object([("bench", "live".into()), ("results", rows.into())]));
     std::fs::write(&out_path, &json).expect("write json");
     println!("{json}");
 }
@@ -143,8 +100,8 @@ fn deal(
     workload
 }
 
-/// One matrix point: `peers` concurrent sessions streaming `workload`.
-fn run_point(peers: usize, workload: &UpdateArchive) -> Point {
+/// Seconds for `peers` concurrent sessions to stream `workload` (one point).
+fn run_point(peers: usize, workload: &UpdateArchive) -> f64 {
     let dealt_updates = workload.update_count() as u64;
     let cfg = CollectorConfig::new("bench", Asn(3333), "198.51.100.1".parse().unwrap())
         .with_stamp(StampMode::logical(1_000));
@@ -198,5 +155,5 @@ fn run_point(peers: usize, workload: &UpdateArchive) -> Point {
     eprintln!(
         "bench_live: {peers} sessions: {dealt_updates} updates in {seconds:.3} s → {rate:.0} upd/s"
     );
-    Point { peers, updates: dealt_updates, seconds }
+    seconds
 }

@@ -16,10 +16,9 @@
 //! materializing the day at 1M+ is exactly what the streaming path
 //! exists to avoid.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use kcc_bench::args::{flag, list};
 use kcc_bench::mrtgen::{generate_mrt_day, MrtDay};
+use kcc_bench::report::{self, cpu_seconds, measure, object, Json, Measurement};
 use kcc_collector::UpdateArchive;
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::table::{overview, OverviewSink};
@@ -48,70 +47,12 @@ const OVERHEAD_REPEATS: usize = 48;
 /// [`OVERHEAD_REPEATS`]).
 const OVERHEAD_BLOCKS: usize = 3;
 
-/// One measured mode.
-struct Measurement {
-    seconds: f64,
-    updates_per_sec: f64,
-}
-
-fn measure<F: FnOnce() -> u64>(f: F) -> Measurement {
-    let start = Instant::now();
-    let updates = f();
-    let seconds = start.elapsed().as_secs_f64().max(1e-9);
-    Measurement { seconds, updates_per_sec: updates as f64 / seconds }
-}
-
-fn json_measurement(m: &Measurement) -> String {
-    format!("{{\"seconds\":{:.6},\"updates_per_sec\":{:.0}}}", m.seconds, m.updates_per_sec)
-}
-
-/// Nanoseconds the calling thread has spent on-CPU (field 1 of
-/// `/proc/thread-self/schedstat`). On a contended machine wall time
-/// includes run-queue waits the workload never executed through, which
-/// drowns a sub-2% comparison; on-CPU time excludes preemption noise
-/// entirely. The streaming pipeline runs single-threaded on the calling
-/// thread, so this captures exactly the measured work. Returns `None`
-/// where the file is unavailable (non-Linux); callers fall back to wall
-/// time.
-fn thread_cpu_ns() -> Option<u64> {
-    let s = std::fs::read_to_string("/proc/thread-self/schedstat")
-        .or_else(|_| std::fs::read_to_string("/proc/self/schedstat"))
-        .ok()?;
-    s.split_whitespace().next()?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sizes: Vec<u64> = vec![10_000, 100_000];
-    let mut out_path = String::from("BENCH_pipeline.json");
-    let mut threads = 4usize;
-    let mut batch_cap = 200_000u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sizes" => {
-                if let Some(v) = it.next() {
-                    sizes = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                }
-            }
-            "--out" => {
-                if let Some(v) = it.next() {
-                    out_path = v.clone();
-                }
-            }
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    threads = v;
-                }
-            }
-            "--batch-cap" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    batch_cap = v;
-                }
-            }
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let sizes: Vec<u64> = list(&argv, "--sizes").unwrap_or_else(|| vec![10_000, 100_000]);
+    let out_path: String = flag(&argv, "--out").unwrap_or_else(|| "BENCH_pipeline.json".into());
+    let threads: usize = flag(&argv, "--threads").unwrap_or(4);
+    let batch_cap: u64 = flag(&argv, "--batch-cap").unwrap_or(200_000);
 
     let mut rows = Vec::new();
     for &target in &sizes {
@@ -187,18 +128,6 @@ fn main() {
                     out.stats.updates
                 })
             };
-            // Compare on-CPU time where available (see [`thread_cpu_ns`]);
-            // wall time otherwise.
-            let timed = |run: &dyn Fn() -> Measurement| -> (Measurement, f64) {
-                let before = thread_cpu_ns();
-                let m = run();
-                let after = thread_cpu_ns();
-                let cpu = match (before, after) {
-                    (Some(b), Some(a)) if a > b => (a - b) as f64 * 1e-9,
-                    _ => m.seconds,
-                };
-                (m, cpu)
-            };
             for i in 0..OVERHEAD_REPEATS {
                 // Shift the heap layout between pairs: allocation-address
                 // luck (page/cache-set collisions in the classifier maps)
@@ -216,12 +145,13 @@ fn main() {
                 // Alternate which variant goes first so that any load
                 // ramping across the measurement window biases half the
                 // pairs one way and half the other.
+                // Pairs compare on-CPU time (see [`cpu_seconds`]).
                 let (plain, instr) = if i % 2 == 0 {
-                    let p = timed(&run_plain);
-                    (p, timed(&run_instr))
+                    let p = cpu_seconds(run_plain);
+                    (p, cpu_seconds(run_instr))
                 } else {
-                    let q = timed(&run_instr);
-                    (timed(&run_plain), q)
+                    let q = cpu_seconds(run_instr);
+                    (cpu_seconds(run_plain), q)
                 };
                 ratios.push(instr.1 / plain.1);
                 if instr.1 < best_instr {
@@ -270,31 +200,28 @@ fn main() {
             None
         };
 
-        let mut row = format!(
-            "{{\"target_announcements\":{target},\"updates\":{updates},\"mrt_bytes\":{},\
-             \"streaming\":{},\"sharded\":{{\"threads\":{threads},\"result\":{}}}",
-            bytes.len(),
-            json_measurement(&streaming),
-            json_measurement(&sharded),
-        );
+        let mut row = vec![
+            ("target_announcements", target.into()),
+            ("updates", updates.into()),
+            ("mrt_bytes", bytes.len().into()),
+            ("streaming", streaming.to_json()),
+            ("sharded", object([("threads", threads.into()), ("result", sharded.to_json())])),
+        ];
         if let Some((instrumented, overhead_percent)) = &overhead {
-            let _ = write!(
-                row,
-                ",\"instrumented\":{{\"profile_every\":{PROFILE_EVERY},\"result\":{},\
-                 \"overhead_percent\":{overhead_percent:.2}}}",
-                json_measurement(instrumented),
-            );
+            row.push((
+                "instrumented",
+                object([
+                    ("profile_every", PROFILE_EVERY.into()),
+                    ("result", instrumented.to_json()),
+                    ("overhead_percent", (*overhead_percent).into()),
+                ]),
+            ));
         }
-        match &batch {
-            Some(m) => {
-                let _ = write!(row, ",\"batch\":{}}}", json_measurement(m));
-            }
-            None => row.push_str(",\"batch\":null}"),
-        }
-        rows.push(row);
+        row.push(("batch", batch.as_ref().map_or(Json::Null, Measurement::to_json)));
+        rows.push(object(row));
     }
 
-    let json = format!("{{\"bench\":\"pipeline\",\"results\":[{}]}}\n", rows.join(","));
-    std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");
+    let json = report::write(&object([("bench", "pipeline".into()), ("results", rows.into())]));
+    std::fs::write(&out_path, json).expect("write BENCH_pipeline.json");
     println!("wrote {out_path}");
 }

@@ -19,8 +19,8 @@
 //! (`VmHWM`), so each row's figure is dominated by its own — the
 //! largest-so-far — topology.
 
-use std::time::Instant;
-
+use kcc_bench::args::{flag, list};
+use kcc_bench::report::{self, cpu_seconds, object};
 use kcc_bench::sweep::{run_internet_cell, InternetCell};
 use kcc_bgp_sim::{SimDuration, VendorProfile};
 
@@ -33,51 +33,13 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Nanoseconds the calling thread has spent on-CPU (field 1 of
-/// `/proc/thread-self/schedstat`). The simulator runs single-threaded on
-/// the calling thread, so on-CPU time measures exactly the workload and
-/// excludes run-queue waits — wall time on a contended machine swings far
-/// beyond the ±25% the CI gate allows. `None` where unavailable
-/// (non-Linux); callers fall back to wall time.
-fn thread_cpu_ns() -> Option<u64> {
-    let s = std::fs::read_to_string("/proc/thread-self/schedstat")
-        .or_else(|_| std::fs::read_to_string("/proc/self/schedstat"))
-        .ok()?;
-    s.split_whitespace().next()?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sizes: Vec<usize> = vec![10_000, 25_000, 75_000];
-    let mut out_path = String::from("BENCH_sim.json");
-    let mut seed = 42u64;
-    let mut repeats = 3usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sizes" => {
-                if let Some(v) = it.next() {
-                    sizes = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                }
-            }
-            "--out" => {
-                if let Some(v) = it.next() {
-                    out_path = v.clone();
-                }
-            }
-            "--seed" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--repeats" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    repeats = v;
-                }
-            }
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut sizes: Vec<usize> =
+        list(&argv, "--sizes").unwrap_or_else(|| vec![10_000, 25_000, 75_000]);
+    let out_path: String = flag(&argv, "--out").unwrap_or_else(|| "BENCH_sim.json".into());
+    let seed: u64 = flag(&argv, "--seed").unwrap_or(42);
+    let repeats: usize = flag(&argv, "--repeats").unwrap_or(3);
     sizes.sort_unstable();
     let repeats = repeats.max(1);
 
@@ -97,14 +59,7 @@ fn main() {
         let mut r = None;
         let mut seconds = f64::MAX;
         for _ in 0..repeats {
-            let cpu_before = thread_cpu_ns();
-            let start = Instant::now();
-            let pass = run_internet_cell(&cell, seed);
-            let wall = start.elapsed().as_secs_f64().max(1e-9);
-            let pass_seconds = match (cpu_before, thread_cpu_ns()) {
-                (Some(b), Some(a)) if a > b => (a - b) as f64 * 1e-9,
-                _ => wall,
-            };
+            let (pass, pass_seconds) = cpu_seconds(|| run_internet_cell(&cell, seed));
             if let Some(prev) = &r {
                 assert_eq!(prev, &pass, "deterministic sim produced differing repeats");
             }
@@ -134,29 +89,33 @@ fn main() {
             r.counts.initial,
             r.counts.withdrawals,
         );
-        rows.push(format!(
-            "{{\"n_ases\":{n_ases},\"routers\":{},\"sessions\":{},\"events\":{},\
-             \"seconds\":{seconds:.6},\"updates_per_sec\":{updates_per_sec:.0},\
-             \"peak_rss_bytes\":{rss},\"interned_attr_bytes\":{},\
-             \"collector_messages\":{},\"counts\":{{\"initial\":{},\"pc\":{},\"pn\":{},\
-             \"nc\":{},\"nn\":{},\"xc\":{},\"xn\":{},\"withdrawals\":{}}}}}",
-            r.routers,
-            r.sessions,
-            r.events_processed,
-            r.interned_attr_bytes,
-            r.collector_messages,
-            r.counts.initial,
-            r.counts.pc,
-            r.counts.pn,
-            r.counts.nc,
-            r.counts.nn,
-            r.counts.xc,
-            r.counts.xn,
-            r.counts.withdrawals,
-        ));
+        rows.push(object([
+            ("n_ases", n_ases.into()),
+            ("routers", r.routers.into()),
+            ("sessions", r.sessions.into()),
+            ("events", r.events_processed.into()),
+            ("seconds", seconds.into()),
+            ("updates_per_sec", updates_per_sec.into()),
+            ("peak_rss_bytes", rss.into()),
+            ("interned_attr_bytes", r.interned_attr_bytes.into()),
+            ("collector_messages", r.collector_messages.into()),
+            (
+                "counts",
+                object([
+                    ("initial", r.counts.initial.into()),
+                    ("pc", r.counts.pc.into()),
+                    ("pn", r.counts.pn.into()),
+                    ("nc", r.counts.nc.into()),
+                    ("nn", r.counts.nn.into()),
+                    ("xc", r.counts.xc.into()),
+                    ("xn", r.counts.xn.into()),
+                    ("withdrawals", r.counts.withdrawals.into()),
+                ]),
+            ),
+        ]));
     }
 
-    let json = format!("{{\"bench\":\"sim\",\"results\":[{}]}}\n", rows.join(","));
-    std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
+    let json = report::write(&object([("bench", "sim".into()), ("results", rows.into())]));
+    std::fs::write(&out_path, json).expect("write BENCH_sim.json");
     println!("wrote {out_path}");
 }

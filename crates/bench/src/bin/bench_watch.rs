@@ -15,49 +15,19 @@
 
 use std::time::Instant;
 
+use kcc_bench::args::{flag, list};
 use kcc_bench::eval_library;
 use kcc_bench::mrtgen::{generate_mrt_day, MrtDay};
+use kcc_bench::report::{self, measure, object};
 use kcc_collector::UpdateArchive;
 use kcc_core::{CommunityProfiler, MrtSource, PipelineBuilder, WatchConfig, WatchSink};
 use kcc_tracegen::Mar20Config;
 use std::sync::Arc;
 
-struct Measurement {
-    seconds: f64,
-    updates_per_sec: f64,
-}
-
-fn measure<F: FnOnce() -> u64>(f: F) -> Measurement {
-    let start = Instant::now();
-    let updates = f();
-    let seconds = start.elapsed().as_secs_f64().max(1e-9);
-    Measurement { seconds, updates_per_sec: updates as f64 / seconds }
-}
-
-fn json_measurement(m: &Measurement) -> String {
-    format!("{{\"seconds\":{:.6},\"updates_per_sec\":{:.0}}}", m.seconds, m.updates_per_sec)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sizes: Vec<u64> = vec![10_000, 100_000];
-    let mut out_path = String::from("BENCH_watch.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sizes" => {
-                if let Some(v) = it.next() {
-                    sizes = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                }
-            }
-            "--out" => {
-                if let Some(v) = it.next() {
-                    out_path = v.clone();
-                }
-            }
-            _ => {}
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let sizes: Vec<u64> = list(&argv, "--sizes").unwrap_or_else(|| vec![10_000, 100_000]);
+    let out_path: String = flag(&argv, "--out").unwrap_or_else(|| "BENCH_watch.json".into());
 
     let mut rows = Vec::new();
     for &target in &sizes {
@@ -105,13 +75,13 @@ fn main() {
             profiled.seconds, profiled.updates_per_sec
         );
 
-        rows.push(format!(
-            "{{\"target_announcements\":{target},\"updates\":{updates},\"mrt_bytes\":{},\
-             \"watch\":{},\"watch_profiled\":{}}}",
-            bytes.len(),
-            json_measurement(&watch),
-            json_measurement(&profiled),
-        ));
+        rows.push(object([
+            ("target_announcements", target.into()),
+            ("updates", updates.into()),
+            ("mrt_bytes", bytes.len().into()),
+            ("watch", watch.to_json()),
+            ("watch_profiled", profiled.to_json()),
+        ]));
     }
 
     // One pass over the labeled fault library: simulate + train + detect
@@ -121,12 +91,16 @@ fn main() {
     let eval_seconds = start.elapsed().as_secs_f64();
     let passed = results.iter().filter(|r| r.pass).count();
     println!("eval library: {passed}/{} in {eval_seconds:.3}s", results.len());
-    rows.push(format!(
-        "{{\"eval\":{{\"seconds\":{eval_seconds:.6},\"scenarios\":{},\"passed\":{passed}}}}}",
-        results.len(),
-    ));
+    rows.push(object([(
+        "eval",
+        object([
+            ("seconds", eval_seconds.into()),
+            ("scenarios", results.len().into()),
+            ("passed", passed.into()),
+        ]),
+    )]));
 
-    let json = format!("{{\"bench\":\"watch\",\"results\":[{}]}}\n", rows.join(","));
-    std::fs::write(&out_path, &json).expect("write BENCH_watch.json");
+    let json = report::write(&object([("bench", "watch".into()), ("results", rows.into())]));
+    std::fs::write(&out_path, json).expect("write BENCH_watch.json");
     println!("wrote {out_path}");
 }

@@ -18,6 +18,7 @@
 
 use std::time::Instant;
 
+use kcc_bench::args::flag;
 use kcc_bench::sweep::{run_sweep, SweepConfig};
 use kcc_bench::Args;
 use kcc_core::report::render_table;
@@ -25,14 +26,9 @@ use kcc_core::report::render_table;
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(argv.clone());
-    let threads = argv
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(1)
-        });
+    let threads = flag(&argv, "--threads").unwrap_or_else(|| {
+        std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(1)
+    });
     let want_speedup = argv.iter().any(|a| a == "--speedup");
 
     let cfg = if args.quick {

@@ -2,8 +2,9 @@
 //!
 //! One binary per paper table/figure (see `src/bin/`) and this shared
 //! harness library:
-//! argument parsing, the simulated beacon-day driver, and paper-vs-measured
-//! comparison rendering.
+//! argument parsing, the simulated beacon day, paper-vs-measured
+//! comparison rendering, and the `BENCH_*.json` report format
+//! ([`report`]) every `bench_*` binary writes and `bench_gate` reads.
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -25,7 +26,8 @@
 //! | `kcc-corpus` | multi-collector corpus CLI (per-collector + combined reports) |
 //! | `kcc-watch` | the CommunityWatch service CLI (+ `--eval` / `--soak` gates) |
 //! | `bench_watch` | watch-sink throughput + eval timing → `BENCH_watch.json` |
-//! | `bench_gate` | ±tolerance updates/s regression gate over two BENCH files |
+//! | `bench_sim` | internet-scale simulator events/s + peak RSS → `BENCH_sim.json` |
+//! | `bench_gate` | regression gate over two BENCH files: same workload, ±tolerance updates/s, overhead cap |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +36,7 @@ pub mod args;
 pub mod beacon_day;
 pub mod compare;
 pub mod mrtgen;
+pub mod report;
 pub mod sweep;
 pub mod watch_eval;
 

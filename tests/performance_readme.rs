@@ -1,27 +1,14 @@
-//! Enforces the README's "Performance" section the same way
+//! Enforces the README's committed-figure tables the way
 //! `tests/pipeline_readme.rs` enforces the streaming snippet: the
-//! trajectory table's "now" column must equal the committed
-//! `BENCH_pipeline.json` streaming figures, and the documented
-//! reproduction commands must name the tolerance the `bench-smoke` CI
-//! job actually gates on — so re-pinning the baseline without updating
-//! the README (or vice versa) fails here first.
+//! pipeline, live and internet scaling tables must equal the committed
+//! `BENCH_*.json` (read through `kcc_bench::report`, as `bench_gate`
+//! reads them), and the documented reproduction commands must name the
+//! gate CI runs — so re-pinning a baseline without updating the README
+//! (or vice versa) fails here first.
 
 use std::fs;
 
-/// Pulls every `"updates_per_sec":<digits>` value out of the streaming
-/// objects of the committed baseline, in file order. The baseline is
-/// machine-written single-line JSON; a tiny scan is enough here (the
-/// structural parser lives in `bench_gate`, which CI runs against the
-/// same file).
-fn committed_streaming_rates(json: &str) -> Vec<u64> {
-    let mut rates = Vec::new();
-    for chunk in json.split("\"streaming\":").skip(1) {
-        let tail = chunk.split("\"updates_per_sec\":").nth(1).expect("streaming rate");
-        let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-        rates.push(digits.parse().expect("numeric rate"));
-    }
-    rates
-}
+use kcc_bench::report::{flatten, parse, Json};
 
 fn with_thousands_separators(n: u64) -> String {
     let digits = n.to_string();
@@ -35,19 +22,37 @@ fn with_thousands_separators(n: u64) -> String {
     out
 }
 
-#[test]
-fn readme_performance_table_matches_committed_baseline() {
+/// The README section under `## {heading}`, up to the next `## `.
+fn section(heading: &str) -> String {
     let readme = fs::read_to_string("README.md").unwrap();
-    let section = readme
-        .split("## Performance")
+    readme
+        .split(&format!("## {heading}"))
         .nth(1)
-        .expect("README has a Performance section")
+        .unwrap_or_else(|| panic!("README has a {heading} section"))
         .split("\n## ")
         .next()
-        .unwrap();
+        .unwrap()
+        .to_string()
+}
 
-    let baseline = fs::read_to_string("BENCH_pipeline.json").unwrap();
-    let rates = committed_streaming_rates(&baseline);
+/// The number at `results[i].{field}` of the committed baseline `file`,
+/// for every row `i` in order.
+fn column(file: &str, field: &str) -> Vec<u64> {
+    let mut leaves = Vec::new();
+    flatten(&parse(&fs::read_to_string(file).unwrap()).unwrap(), "", &mut leaves);
+    (0..)
+        .map_while(|i| leaves.iter().find(|(p, _)| *p == format!("results[{i}].{field}")))
+        .map(|(path, value)| match value {
+            Json::Number(n) => *n as u64,
+            other => panic!("{file}: `{path}` is not a number: {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn readme_performance_table_matches_committed_baseline() {
+    let section = section("Performance");
+    let rates = column("BENCH_pipeline.json", "streaming.updates_per_sec");
     assert_eq!(rates.len(), 2, "baseline pins two day sizes");
     for rate in rates {
         let figure = format!("{} upd/s", with_thousands_separators(rate));
@@ -59,35 +64,14 @@ fn readme_performance_table_matches_committed_baseline() {
     }
 }
 
-/// Pulls `(peers, updates_per_sec)` pairs out of the committed live
-/// scaling baseline, in sweep order.
-fn committed_live_points(json: &str) -> Vec<(u64, u64)> {
-    let mut points = Vec::new();
-    for chunk in json.split("{\"peers\":").skip(1) {
-        let peers: String = chunk.chars().take_while(char::is_ascii_digit).collect();
-        let tail = chunk.split("\"updates_per_sec\":").nth(1).expect("live rate");
-        let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-        points.push((peers.parse().expect("peer count"), digits.parse().expect("numeric rate")));
-    }
-    points
-}
-
 #[test]
 fn readme_live_scaling_table_matches_committed_baseline() {
-    let readme = fs::read_to_string("README.md").unwrap();
-    let section = readme
-        .split("## Performance")
-        .nth(1)
-        .expect("README has a Performance section")
-        .split("\n## ")
-        .next()
-        .unwrap();
-
-    let baseline = fs::read_to_string("BENCH_live.json").unwrap();
-    let points = committed_live_points(&baseline);
-    assert_eq!(points.len(), 4, "baseline pins four sweep points");
-    assert_eq!(points.last().map(|&(p, _)| p), Some(5_000), "sweep tops out at 5k sessions");
-    for (peers, rate) in points {
+    let section = section("Performance");
+    let peers = column("BENCH_live.json", "peers");
+    let rates = column("BENCH_live.json", "updates_per_sec");
+    assert_eq!((peers.len(), rates.len()), (4, 4), "baseline pins four sweep points");
+    assert_eq!(peers.last(), Some(&5_000), "sweep tops out at 5k sessions");
+    for (peers, rate) in peers.into_iter().zip(rates) {
         let row = format!(
             "| {} | {} upd/s |",
             with_thousands_separators(peers),
@@ -102,9 +86,28 @@ fn readme_live_scaling_table_matches_committed_baseline() {
 }
 
 #[test]
+fn readme_scaling_table_matches_committed_baseline() {
+    let section = section("Internet-scale simulation");
+    let columns: Vec<Vec<u64>> = ["n_ases", "routers", "sessions", "events", "updates_per_sec"]
+        .iter()
+        .map(|field| column("BENCH_sim.json", field))
+        .collect();
+    assert!(columns.iter().all(|c| c.len() == 3), "baseline pins three internet sizes");
+    assert_eq!(columns[0].last(), Some(&75_000), "sweep tops out at 75k ASes");
+    for i in 0..3 {
+        let cells: Vec<String> = columns.iter().map(|c| with_thousands_separators(c[i])).collect();
+        let row = format!("| {} ev/s |", cells.join(" | "));
+        assert!(
+            section.contains(&row),
+            "README internet scaling table is stale: missing \"{row}\" \
+             from the committed BENCH_sim.json"
+        );
+    }
+}
+
+#[test]
 fn readme_reproduction_commands_match_ci_gate() {
-    let readme = fs::read_to_string("README.md").unwrap();
-    let section = readme.split("## Performance").nth(1).unwrap();
+    let section = section("Performance");
     let ci = fs::read_to_string(".github/workflows/ci.yml").unwrap();
 
     // The README documents the exact gate CI enforces.
@@ -119,8 +122,8 @@ fn readme_reproduction_commands_match_ci_gate() {
          and publish delta tables"
     );
     assert!(
-        ci.contains("for b in pipeline live corpus watch"),
-        "CI bench-smoke must gate all four committed baselines"
+        ci.contains("for b in pipeline live corpus watch sim"),
+        "CI bench-smoke must gate all five committed baselines"
     );
     // And the commands name binaries that exist in the bench crate.
     for bin in ["bench_pipeline", "bench_gate"] {
@@ -129,5 +132,40 @@ fn readme_reproduction_commands_match_ci_gate() {
             fs::metadata(format!("crates/bench/src/bin/{bin}.rs")).is_ok(),
             "{bin} binary exists"
         );
+    }
+}
+
+#[test]
+fn readme_reproduction_commands_match_ci() {
+    let section = section("Internet-scale simulation");
+    let ci = fs::read_to_string(".github/workflows/ci.yml").unwrap();
+
+    // The README documents the exact gate CI enforces, over the same
+    // sizes as the committed baseline (bench_gate treats a missing
+    // baseline key as a hard failure, so the sizes must agree).
+    assert!(section.contains("--tolerance 0.25"), "README must state the gate tolerance");
+    assert!(section.contains("--sizes 10000,25000,75000"), "README names the baseline sizes");
+    assert!(
+        ci.contains("bench_sim -- --sizes 10000,25000,75000"),
+        "CI bench-smoke must measure the documented sizes"
+    );
+    // The documented memory ceiling is the one sim-scale enforces.
+    assert!(section.contains("1 GiB"), "README states the sim-scale memory ceiling");
+    assert!(
+        ci.contains("sim-scale") && ci.contains("ulimit -v 1048576"),
+        "CI has a sim-scale job with a 1 GiB address-space cap"
+    );
+    // And the commands name binaries that exist in the bench crate.
+    for bin in ["bench_sim", "bench_gate"] {
+        assert!(section.contains(bin), "README reproduction commands mention {bin}");
+        assert!(
+            fs::metadata(format!("crates/bench/src/bin/{bin}.rs")).is_ok(),
+            "{bin} binary exists"
+        );
+    }
+    // The section names the tests that pin the refactor.
+    for t in ["sim_invariance", "golden_lab"] {
+        assert!(section.contains(t), "README names tests/{t}.rs");
+        assert!(fs::metadata(format!("tests/{t}.rs")).is_ok(), "tests/{t}.rs exists");
     }
 }
