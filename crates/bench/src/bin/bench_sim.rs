@@ -2,7 +2,7 @@
 //! output — the perf-trajectory anchor for the arena/interned-RIB core.
 //!
 //! Per topology size: generates a power-law internet
-//! ([`kcc_topology::generate_internet`]), compiles it into a [`Network`]
+//! ([`kcc_topology::generate_internet`]), compiles it into a [`Network`](kcc_bgp_sim::Network)
 //! (arena routers, `(Asn, Asn)`-indexed sessions, interned RIBs), runs
 //! the beacon flap protocol (converge → flap → heal → reflap) with a
 //! collector on the first two transits, and classifies the collector

@@ -1,5 +1,5 @@
 //! The `BENCH_*.json` report format. The `bench_*` binaries build a
-//! [`Json`] tree and [`write`] it as one line, members in insertion
+//! [`Json`] tree and [`write()`] it as one line, members in insertion
 //! order; `bench_gate` and the README-table tests [`parse`] it back and
 //! address each leaf by its path (`results[0].streaming.updates_per_sec`,
 //! see [`flatten`]). Leaves under a [`MEASURED`] key drift run over run
@@ -273,7 +273,7 @@ pub fn write(report: &Json) -> String {
 }
 
 impl fmt::Display for Json {
-    /// The compact form [`write`] produces, without the newline.
+    /// The compact form [`write()`] produces, without the newline.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write_value(f, self, None)
     }

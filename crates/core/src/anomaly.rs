@@ -18,7 +18,7 @@
 //!   (BLACKHOLE, GRACEFUL_SHUTDOWN …) appearing on a stream that never
 //!   carried one,
 //! * [`AlertKind::BaselineShift`] over
-//!   [`ShiftMetric::DistinctAttrs`](crate::alert::ShiftMetric::DistinctAttrs):
+//!   [`ShiftMetric::DistinctAttrs`]:
 //!   a stream revealing many more distinct community attributes per phase
 //!   than its training baseline (an exploration burst).
 //!

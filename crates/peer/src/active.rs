@@ -3,7 +3,8 @@
 //! [`ActiveSpeaker`] is a single hand-driven client session — the
 //! daemon-config and reactor tests use it to poke one session of a live
 //! collector at a time (archive replay goes through
-//! [`crate::FloodRig`]). The handshake is driven
+//! [`crate::FloodRig`]). Reads go through the reactor's
+//! [`FrameBuffer`], the crate's one BGP framer. The handshake is driven
 //! through the same [`Fsm`] as the collector side — OPEN out, OPEN in,
 //! KEEPALIVE exchange — synchronously on the calling thread (a handshake
 //! is strictly sequential, so threads would buy nothing). Once
@@ -12,25 +13,29 @@
 //! [`ActiveSpeaker::tick`] keeps our own keepalive cadence against the
 //! injected clock.
 
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-use kcc_bgp_wire::{Message, Notification, SessionConfig, UpdatePacket};
+use bytes::BytesMut;
+use kcc_bgp_wire::{
+    encode_message, encode_update, Message, Notification, SessionConfig, UpdatePacket, WireError,
+};
 
 use crate::clock::Clock;
 use crate::fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent, State};
-use crate::transport::{write_message, MessageReader, TransportError};
+use crate::reactor::framing::FrameBuffer;
 
 /// Failures on the active side.
 #[derive(Debug)]
 pub enum PeerError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// Transport/decode failure.
-    Transport(TransportError),
+    /// The peer's bytes did not decode as BGP.
+    Wire(WireError),
     /// The handshake ended without reaching Established.
     Handshake(DownReason),
     /// The peer tore the session down.
@@ -44,7 +49,7 @@ impl std::fmt::Display for PeerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PeerError::Io(e) => write!(f, "socket: {e}"),
-            PeerError::Transport(e) => write!(f, "transport: {e}"),
+            PeerError::Wire(e) => write!(f, "wire decode: {e}"),
             PeerError::Handshake(r) => write!(f, "handshake failed: {r:?}"),
             PeerError::PeerClosed(n) => write!(f, "peer closed the session: {n:?}"),
             PeerError::SessionDown(r) => write!(f, "session torn down locally: {r:?}"),
@@ -60,10 +65,39 @@ impl From<std::io::Error> for PeerError {
     }
 }
 
-impl From<TransportError> for PeerError {
-    fn from(e: TransportError) -> Self {
-        PeerError::Transport(e)
+impl From<WireError> for PeerError {
+    fn from(e: WireError) -> Self {
+        PeerError::Wire(e)
     }
+}
+
+/// Reads one message through `frames`, pulling more bytes from `r` as
+/// needed. `Ok(None)` on a clean EOF between messages; EOF mid-message
+/// is an error.
+fn read_message<R: Read>(
+    r: &mut R,
+    frames: &mut FrameBuffer,
+) -> Result<Option<Message>, PeerError> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(message) = frames.next_message()? {
+            return Ok(Some(message));
+        }
+        match r.read(&mut chunk) {
+            Ok(0) if frames.buffered() == 0 => return Ok(None),
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into()),
+            Ok(n) => frames.extend(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// Encodes and writes one complete message.
+fn write_message(mut w: &TcpStream, message: &Message, cfg: &SessionConfig) -> std::io::Result<()> {
+    let mut buf = BytesMut::new();
+    encode_message(message, cfg, &mut buf);
+    w.write_all(&buf)
 }
 
 /// An established outbound session streaming UPDATEs to a collector.
@@ -105,7 +139,8 @@ impl ActiveSpeaker {
         stream.set_nodelay(true)?;
 
         let mut fsm = Fsm::new(cfg);
-        let mut reader = MessageReader::new(stream.try_clone()?, SessionConfig::default(), true);
+        let mut read_half = stream.try_clone()?;
+        let mut frames = FrameBuffer::new(SessionConfig::default(), true);
         let mut write_cfg = SessionConfig::default();
         let now = clock.now_ms();
         let mut pending = fsm.handle(FsmEvent::Start, now);
@@ -130,8 +165,8 @@ impl ActiveSpeaker {
             if info.is_some() {
                 break;
             }
-            let message =
-                reader.read_message()?.ok_or(PeerError::Handshake(DownReason::TcpFailed))?;
+            let message = read_message(&mut read_half, &mut frames)?
+                .ok_or(PeerError::Handshake(DownReason::TcpFailed))?;
             pending = fsm.handle(FsmEvent::Message(message), clock.now_ms());
         }
         let info = info.expect("loop exits only with info");
@@ -147,7 +182,7 @@ impl ActiveSpeaker {
         let reader_clock = Arc::clone(&clock);
         let reader_handle = std::thread::spawn(move || {
             loop {
-                match reader.read_message() {
+                match read_message(&mut read_half, &mut frames) {
                     Ok(Some(Message::Notification(n))) => {
                         // Send before raising the flag so check_peer
                         // always finds the NOTIFICATION it reports.
@@ -203,7 +238,9 @@ impl ActiveSpeaker {
     /// Sends one UPDATE with the negotiated encoding.
     pub fn send_update(&mut self, packet: &UpdatePacket) -> Result<(), PeerError> {
         self.check_peer()?;
-        crate::transport::write_update(&self.stream, packet, &self.info.config)?;
+        let mut buf = BytesMut::new();
+        encode_update(packet, &self.info.config, &mut buf);
+        (&self.stream).write_all(&buf)?;
         // Any message we send proves our liveness to the peer.
         self.fsm.note_message_sent(self.clock.now_ms());
         self.updates_sent += 1;
@@ -257,5 +294,28 @@ impl Drop for ActiveSpeaker {
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clean_eof_ends_the_stream_and_eof_mid_message_is_an_error() {
+        let mut bytes = BytesMut::new();
+        encode_message(&Message::Keepalive, &SessionConfig::default(), &mut bytes);
+
+        let mut whole = &bytes[..];
+        let mut frames = FrameBuffer::new(SessionConfig::default(), true);
+        assert_eq!(read_message(&mut whole, &mut frames).unwrap(), Some(Message::Keepalive));
+        assert!(read_message(&mut whole, &mut frames).unwrap().is_none(), "clean EOF");
+
+        let mut cut = &bytes[..10];
+        let mut frames = FrameBuffer::new(SessionConfig::default(), true);
+        assert!(matches!(
+            read_message(&mut cut, &mut frames),
+            Err(PeerError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof
+        ));
     }
 }

@@ -20,10 +20,9 @@
 //! Offline, a session is `(collector, peer ASN, peer IP)`. Live, the
 //! transport source address is a poor identity: on a loopback deployment
 //! every peer connects from `127.0.0.1` with an ephemeral port. The
-//! daemon therefore defaults to keying sessions by the peer's **BGP
-//! identifier** — the stable, configured identity exchanged in the OPEN —
-//! and only uses the socket address when asked
-//! ([`SessionIdentity::SourceAddr`]).
+//! daemon therefore keys sessions by the peer's **BGP identifier** — the
+//! stable, configured identity exchanged in the OPEN — in the peer-IP
+//! slot of the [`SessionKey`].
 //!
 //! ## Arrival stamping
 //!
@@ -77,21 +76,10 @@ impl StampMode {
     }
 }
 
-/// What identifies a live session in its [`SessionKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionIdentity {
-    /// The peer's BGP identifier from its OPEN (default; stable across
-    /// reconnects and loopback deployments).
-    BgpId,
-    /// The transport source address.
-    SourceAddr,
-}
-
 /// The BGP identifier a session's peer IP maps to — what a speaker
 /// replaying an archive session announces, and so what the daemon keys
-/// the session by under [`SessionIdentity::BgpId`]: v4 addresses map
-/// directly (reproducing the offline session key), v6 addresses hash
-/// into a deterministic v4 identifier.
+/// the session by: v4 addresses map directly (reproducing the offline
+/// session key), v6 addresses hash into a deterministic v4 identifier.
 pub fn bgp_id_for(peer_ip: IpAddr) -> Ipv4Addr {
     match peer_ip {
         IpAddr::V4(v4) => v4,
@@ -105,7 +93,7 @@ pub fn bgp_id_for(peer_ip: IpAddr) -> Ipv4Addr {
 
 /// Daemon configuration. The hot-reloadable subset (stamp, route
 /// servers, MRT rotation) seeds the daemon's [`ConfigStore`]; the rest —
-/// identity, epoch, reactor shape — is fixed at bind time.
+/// local identity, epoch, reactor shape — is fixed at bind time.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
     /// Collector name used in session keys and MRT re-analysis.
@@ -120,14 +108,12 @@ pub struct CollectorConfig {
     pub epoch_seconds: u32,
     /// Timestamping of arriving updates.
     pub stamp: StampMode,
-    /// Session identity rule.
-    pub identity: SessionIdentity,
     /// Peers that are IXP route servers (metadata the wire cannot carry;
     /// mirrors `MrtSource::with_route_servers`).
     pub route_servers: Vec<(Asn, IpAddr)>,
     /// Rotating MRT dumps, if wanted.
     pub mrt: Option<crate::rotate::RotateConfig>,
-    /// Event-loop shape: worker count, poller backend, buffer caps.
+    /// Event-loop shape: worker count and poller backend.
     pub reactor: ReactorConfig,
 }
 
@@ -141,7 +127,6 @@ impl CollectorConfig {
             hold_time: 90,
             epoch_seconds: 0,
             stamp: StampMode::Arrival,
-            identity: SessionIdentity::BgpId,
             route_servers: Vec::new(),
             mrt: None,
             reactor: ReactorConfig::default(),
@@ -163,12 +148,6 @@ impl CollectorConfig {
     /// Enables rotating MRT dumps.
     pub fn with_mrt(mut self, rotate: crate::rotate::RotateConfig) -> Self {
         self.mrt = Some(rotate);
-        self
-    }
-
-    /// Sets the proposed hold time (seconds).
-    pub fn with_hold_time(mut self, seconds: u16) -> Self {
-        self.hold_time = seconds;
         self
     }
 
@@ -438,12 +417,9 @@ fn ingest_loop(
 
         let Some(event) = event else { continue };
         match event {
-            SessionEvent::Established { info, remote } => {
+            SessionEvent::Established { info } => {
                 stats.established += 1;
-                let peer_ip = match cfg.identity {
-                    SessionIdentity::BgpId => IpAddr::V4(info.peer_bgp_id),
-                    SessionIdentity::SourceAddr => remote.ip(),
-                };
+                let peer_ip = IpAddr::V4(info.peer_bgp_id);
                 if let std::collections::hash_map::Entry::Vacant(e) =
                     sessions.entry((info.peer_asn, peer_ip))
                 {
@@ -461,11 +437,8 @@ fn ingest_loop(
                     e.insert(LiveSession { meta, next_index: 0 });
                 }
             }
-            SessionEvent::Update { info, remote, packet } => {
-                let peer_ip = match cfg.identity {
-                    SessionIdentity::BgpId => IpAddr::V4(info.peer_bgp_id),
-                    SessionIdentity::SourceAddr => remote.ip(),
-                };
+            SessionEvent::Update { info, packet } => {
+                let peer_ip = IpAddr::V4(info.peer_bgp_id);
                 let Some(session) = sessions.get_mut(&(info.peer_asn, peer_ip)) else {
                     continue; // update before establish cannot happen
                 };
@@ -509,19 +482,15 @@ fn ingest_loop(
 /// reference the end-to-end loopback tests compare against, computed by
 /// applying the daemon's metadata and stamping rules to the same update
 /// set. Only [`StampMode::Logical`] yields a meaningful reference
-/// (`Arrival` depends on the wall clock). Under
-/// [`SessionIdentity::BgpId`] peer IPs map through [`bgp_id_for`], as
-/// the daemon keys a session replayed from `input` (e.g. by a
-/// [`crate::FloodPlan`]).
+/// (`Arrival` depends on the wall clock). Peer IPs map through
+/// [`bgp_id_for`], as the daemon keys a session replayed from `input`
+/// (e.g. by a [`crate::FloodPlan`]).
 pub fn offline_reference(input: &UpdateArchive, cfg: &CollectorConfig) -> UpdateArchive {
     let mut out = UpdateArchive::new(cfg.epoch_seconds);
     let mut renamed = 0usize;
     for (key, rec) in input.sessions() {
         renamed += 1;
-        let peer_ip = match cfg.identity {
-            SessionIdentity::BgpId => IpAddr::V4(bgp_id_for(key.peer_ip)),
-            SessionIdentity::SourceAddr => key.peer_ip,
-        };
+        let peer_ip = IpAddr::V4(bgp_id_for(key.peer_ip));
         let key = SessionKey::new(&cfg.collector, key.peer_asn, peer_ip);
         let route_server =
             cfg.route_servers.iter().any(|&(asn, ip)| asn == key.peer_asn && ip == peer_ip);
@@ -547,8 +516,9 @@ pub fn offline_reference(input: &UpdateArchive, cfg: &CollectorConfig) -> Update
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ActiveSpeaker;
     use kcc_bgp_types::{PathAttributes, RouteUpdate};
-    use kcc_bgp_wire::{Message, Notification, OpenMessage, SessionConfig, UpdatePacket};
+    use kcc_bgp_wire::UpdatePacket;
     use kcc_collector::UpdateSource;
 
     /// A multi-prefix UPDATE packet explodes into per-prefix updates
@@ -565,16 +535,13 @@ mod tests {
 
         // A hand-driven peer: handshake, then one UPDATE carrying two
         // prefixes, then one with a single withdrawal.
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let wire_cfg = SessionConfig::default();
-        let open = OpenMessage::standard(Asn(65_001), "192.0.2.77".parse().unwrap(), 90);
-        crate::transport::write_message(&stream, &Message::Open(open), &wire_cfg).unwrap();
-        let mut reader =
-            crate::transport::MessageReader::new(stream.try_clone().unwrap(), wire_cfg, true);
-        assert!(matches!(reader.read_message().unwrap().unwrap(), Message::Open(_)));
-        crate::transport::write_message(&stream, &Message::Keepalive, &wire_cfg).unwrap();
-        assert_eq!(reader.read_message().unwrap().unwrap(), Message::Keepalive);
-
+        let mut peer = ActiveSpeaker::connect(
+            addr,
+            FsmConfig::new(Asn(65_001), "192.0.2.77".parse().unwrap()),
+            Arc::new(WallClock::new()),
+            Duration::from_secs(5),
+        )
+        .unwrap();
         let attrs = PathAttributes {
             as_path: "65001 3356".parse().unwrap(),
             next_hop: "192.0.2.1".parse().unwrap(),
@@ -582,17 +549,9 @@ mod tests {
         };
         let mut two = UpdatePacket::announce("10.0.0.0/8".parse().unwrap(), attrs);
         two.nlri.push("10.64.0.0/10".parse().unwrap());
-        crate::transport::write_message(&stream, &Message::Update(two), &wire_cfg).unwrap();
-        let one = UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap());
-        crate::transport::write_message(&stream, &Message::Update(one), &wire_cfg).unwrap();
-        crate::transport::write_message(
-            &stream,
-            &Message::Notification(Notification::cease_admin_shutdown()),
-            &wire_cfg,
-        )
-        .unwrap();
-        drop(reader);
-        drop(stream);
+        peer.send_update(&two).unwrap();
+        peer.send_update(&UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap())).unwrap();
+        peer.close().unwrap();
 
         collector.shutdown();
         let stats = collector.join();

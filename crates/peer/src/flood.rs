@@ -80,31 +80,10 @@ impl FloodPlan {
 }
 
 /// Flood tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FloodOptions {
     /// Readiness backend.
     pub poller: PollerKind,
-    /// Per-dial timeout (loopback dials are retried on transient
-    /// refusal until this much time has elapsed for that dial).
-    pub connect_timeout: Duration,
-    /// Cap on the whole handshake phase across all sessions.
-    pub establish_timeout: Duration,
-    /// Cap on the stream-and-drain phase across all sessions.
-    pub drain_timeout: Duration,
-    /// Per-session outbound backlog cap (bytes).
-    pub write_queue_cap: usize,
-}
-
-impl Default for FloodOptions {
-    fn default() -> Self {
-        FloodOptions {
-            poller: PollerKind::Auto,
-            connect_timeout: Duration::from_secs(10),
-            establish_timeout: Duration::from_secs(120),
-            drain_timeout: Duration::from_secs(600),
-            write_queue_cap: 256 * 1024,
-        }
-    }
 }
 
 /// What a flood run did.
@@ -141,7 +120,6 @@ pub struct FloodRig {
     poller: Box<dyn Poller>,
     peers: Vec<FloodPeer>,
     clock: Arc<dyn Clock>,
-    options: FloodOptions,
     established: usize,
     peak_established: usize,
     last_tick_ms: u64,
@@ -156,6 +134,15 @@ impl std::fmt::Debug for FloodRig {
     }
 }
 
+/// Per-dial timeout (loopback dials are retried on transient refusal
+/// until this much time has elapsed for that dial).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Cap on the whole handshake phase across all sessions.
+const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(120);
+/// Cap on the stream-and-drain phase across all sessions.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
+/// Per-session outbound backlog cap (bytes).
+const WRITE_QUEUE_CAP: usize = 256 * 1024;
 /// Refill the write queue up to half its cap when it drains below a
 /// quarter — keeps per-session memory bounded regardless of how many
 /// UPDATEs the plan holds.
@@ -168,7 +155,7 @@ const TICK_MS: u64 = 1_000;
 impl FloodRig {
     /// Dials and handshakes every planned session, returning once **all
     /// of them are simultaneously Established** (or failing after
-    /// `options.establish_timeout`). No UPDATE is sent yet.
+    /// two minutes). No UPDATE is sent yet.
     pub fn connect(
         addr: SocketAddr,
         plan: FloodPlan,
@@ -179,7 +166,6 @@ impl FloodRig {
             poller: new_poller(options.poller)?,
             peers: Vec::with_capacity(plan.sessions.len()),
             clock,
-            options,
             established: 0,
             peak_established: 0,
             last_tick_ms: 0,
@@ -187,7 +173,7 @@ impl FloodRig {
         for session in plan.sessions {
             rig.dial(addr, session)?;
         }
-        rig.run_until(rig.options.establish_timeout, |rig| rig.established == rig.peers.len())?;
+        rig.run_until(ESTABLISH_TIMEOUT, |rig| rig.established == rig.peers.len())?;
         if rig.established != rig.peers.len() {
             let failed: Vec<&str> =
                 rig.peers.iter().filter_map(|p| p.failure.as_deref()).take(3).collect();
@@ -223,7 +209,7 @@ impl FloodRig {
         for i in 0..self.peers.len() {
             self.pump(i);
         }
-        self.run_until(self.options.drain_timeout, |rig| rig.peers.iter().all(|p| p.done))?;
+        self.run_until(DRAIN_TIMEOUT, |rig| rig.peers.iter().all(|p| p.done))?;
         let undrained = self.peers.iter().filter(|p| !p.done).count();
         if undrained > 0 {
             return Err(std::io::Error::new(
@@ -249,9 +235,9 @@ impl FloodRig {
         // Blocking dial with retry: under a mass dial the daemon's
         // accept loop can transiently refuse; loopback dials are cheap
         // enough that serial connects beat nonblocking connect plumbing.
-        let deadline = Instant::now() + self.options.connect_timeout;
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
         let stream = loop {
-            match TcpStream::connect_timeout(&addr, self.options.connect_timeout) {
+            match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
                 Ok(s) => break s,
                 Err(e) if Instant::now() < deadline => {
                     let transient = matches!(
@@ -277,7 +263,7 @@ impl FloodRig {
             stream,
             fsm: Fsm::new(session.cfg),
             frames: FrameBuffer::new(SessionConfig::default(), true),
-            writes: WriteQueue::new(self.options.write_queue_cap),
+            writes: WriteQueue::new(WRITE_QUEUE_CAP),
             write_cfg: SessionConfig::default(),
             packets: session.packets,
             next_packet: 0,
@@ -454,16 +440,15 @@ impl FloodRig {
     /// Tops the write queue back up from the planned packet stream, and
     /// queues the closing Cease when the stream is exhausted.
     fn refill(&mut self, idx: usize) {
-        let cap = self.options.write_queue_cap;
         let peer = &mut self.peers[idx];
         if !peer.streaming || !peer.established || peer.cease_queued {
             return;
         }
-        if peer.writes.queued() >= cap / REFILL_LOW_DIV && peer.next_packet > 0 {
+        if peer.writes.queued() >= WRITE_QUEUE_CAP / REFILL_LOW_DIV && peer.next_packet > 0 {
             return;
         }
         while peer.next_packet < peer.packets.len()
-            && peer.writes.queued() < cap / REFILL_TARGET_DIV
+            && peer.writes.queued() < WRITE_QUEUE_CAP / REFILL_TARGET_DIV
         {
             let mut frame = BytesMut::new();
             encode_update(&peer.packets[peer.next_packet], &peer.write_cfg, &mut frame);

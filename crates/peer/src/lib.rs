@@ -13,15 +13,14 @@
 //! * [`clock`]: the injectable millisecond clock the FSM's timers are
 //!   measured against ([`WallClock`] in production, [`ManualClock`] in
 //!   tests),
-//! * [`transport`]: BGP message framing over `std::io` byte streams —
-//!   length-prefixed reads, capability-aware decode configuration,
 //! * [`sys`]: raw readiness syscalls (epoll on Linux, `poll(2)`
 //!   portable) behind one `Poller` trait — the only module allowed to
 //!   use `unsafe`, and only for straight FFI,
 //! * [`reactor`]: the event-driven session engine — thousands of
-//!   nonblocking sessions (resumable framing, capped write backlogs, a
-//!   timer wheel driven by the FSM's deadlines) multiplexed over a
-//!   bounded pool of shard threads,
+//!   nonblocking sessions (capped write backlogs, a timer wheel driven by
+//!   the FSM's deadlines) multiplexed over a bounded pool of shard
+//!   threads; its resumable [`reactor::framing::FrameBuffer`] is the
+//!   crate's one BGP framer,
 //! * [`config`]: the running/candidate [`ConfigStore`] with
 //!   commit/discard semantics — peers, listeners, stamping, rotation and
 //!   trace levels hot-reload into a live daemon,
@@ -33,7 +32,7 @@
 //!   store from outside the process,
 //! * [`active`]: the single-session outbound speaker (used by the
 //!   daemon tests): dial, handshake through the same FSM, then stream
-//!   UPDATEs,
+//!   UPDATEs, reading through the same `FrameBuffer`,
 //! * [`flood`]: the nonblocking many-session load rig and the one
 //!   archive replayer — drives thousands of concurrent inbound sessions
 //!   from a single thread, for loopback end-to-end tests, soaks and
@@ -60,7 +59,6 @@ pub mod fsm;
 pub mod reactor;
 pub mod rotate;
 pub mod sys;
-pub mod transport;
 
 /// Back-compat re-export: the trace filter moved to [`kcc_obs`].
 pub use kcc_obs::trace;
@@ -68,8 +66,7 @@ pub use kcc_obs::trace;
 pub use active::{ActiveSpeaker, PeerError};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use collector::{
-    bgp_id_for, offline_reference, Collector, CollectorConfig, CollectorStats, SessionIdentity,
-    StampMode,
+    bgp_id_for, offline_reference, Collector, CollectorConfig, CollectorStats, StampMode,
 };
 pub use config::{ConfigStore, DaemonConfig, PeerPolicy};
 pub use control::ControlServer;
@@ -79,4 +76,3 @@ pub use reactor::{LiveGauges, ReactorConfig, SessionEvent};
 pub use rotate::{MrtRotator, RotateConfig};
 pub use sys::PollerKind;
 pub use trace::{TraceConfig, TraceFilter, TraceLevel};
-pub use transport::{read_message, write_message, write_update, MessageReader};

@@ -49,7 +49,6 @@ use crate::config::ConfigStore;
 use crate::fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent};
 use crate::sys::{new_poller, PollEvent, Poller, PollerKind, Waker, WAKE_TOKEN};
 use crate::trace::TraceLevel;
-use crate::transport::TransportError;
 use framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use timer::{DueTimer, TimerWheel};
 
@@ -60,15 +59,11 @@ pub enum SessionEvent {
     Established {
         /// Negotiated parameters.
         info: EstablishedInfo,
-        /// The peer's transport address.
-        remote: SocketAddr,
     },
     /// An UPDATE arrived (only ever after `Established`).
     Update {
         /// Negotiated parameters of the session it arrived on.
         info: EstablishedInfo,
-        /// The peer's transport address (same as its `Established`).
-        remote: SocketAddr,
         /// The decoded packet (possibly many prefixes; boxed to keep the
         /// event small on the channel).
         packet: Box<UpdatePacket>,
@@ -82,30 +77,18 @@ pub enum SessionEvent {
     },
 }
 
-/// Shape of the reactor's worker pool and per-session buffers.
+/// Shape of the reactor's worker pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Shard threads. The whole point: workers ≪ sessions.
     pub workers: usize,
     /// Readiness backend.
     pub poller: PollerKind,
-    /// Per-session outbound backlog cap (bytes); overflow tears the
-    /// session down.
-    pub write_queue_cap: usize,
-    /// Per-session bytes read per readiness wake, so one flooding peer
-    /// cannot starve its shard (level-triggered readiness re-reports the
-    /// remainder on the next wait).
-    pub read_budget: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig {
-            workers: 2,
-            poller: PollerKind::Auto,
-            write_queue_cap: 4 * 1024 * 1024,
-            read_budget: 256 * 1024,
-        }
+        ReactorConfig { workers: 2, poller: PollerKind::Auto }
     }
 }
 
@@ -159,6 +142,13 @@ const STOP_GRACE_MS: u64 = 2_000;
 /// Absolute cap on the stopping drain, so a peer that floods forever
 /// cannot hold the daemon open.
 const STOP_HARD_CAP_MS: u64 = 30_000;
+/// Per-session outbound backlog cap (bytes); overflow tears the session
+/// down.
+const WRITE_QUEUE_CAP: usize = 4 * 1024 * 1024;
+/// Per-session bytes read per readiness wake, so one flooding peer cannot
+/// starve its shard (level-triggered readiness re-reports the remainder
+/// on the next wait).
+const READ_BUDGET: usize = 256 * 1024;
 /// Poll timeout: how often a shard re-checks the shutdown flag and the
 /// config generation when no readiness arrives.
 const POLL_MS: i32 = 100;
@@ -302,7 +292,6 @@ pub fn spawn(
             listen_addrs: Arc::clone(&listen_addrs),
             rr_next: 0,
             stopping: false,
-            options: options.clone(),
             due: Vec::new(),
             ready: Vec::new(),
         };
@@ -369,7 +358,6 @@ struct Shard {
     /// Round-robin cursor for dealing accepted streams (shard 0 only).
     rr_next: usize,
     stopping: bool,
-    options: ReactorConfig,
     /// Scratch for due timers / readiness events, reused across loops.
     due: Vec<DueTimer>,
     ready: Vec<PollEvent>,
@@ -540,7 +528,7 @@ impl Shard {
             remote,
             fsm,
             frames: FrameBuffer::new(SessionConfig::default(), true),
-            writes: WriteQueue::new(self.options.write_queue_cap),
+            writes: WriteQueue::new(WRITE_QUEUE_CAP),
             write_cfg: SessionConfig::default(),
             info: None,
             armed_deadline: None,
@@ -584,7 +572,7 @@ impl Shard {
     /// Reads up to the budget, feeding decoded messages to the FSM.
     /// Returns true when the session was torn down.
     fn read_burst(&mut self, slot: usize, now: u64) -> bool {
-        let mut budget = self.options.read_budget;
+        let mut budget = READ_BUDGET;
         let mut chunk = [0u8; 64 * 1024];
         loop {
             let take = budget.min(chunk.len());
@@ -610,12 +598,8 @@ impl Shard {
                             match sess.frames.next_message() {
                                 Ok(Some(m)) => messages.push(m),
                                 Ok(None) => break,
-                                Err(TransportError::Wire(w)) => {
+                                Err(w) => {
                                     end = Some(ReadEnd::DecodeError(w));
-                                    break;
-                                }
-                                Err(_) => {
-                                    end = Some(ReadEnd::Failed);
                                     break;
                                 }
                             }
@@ -724,18 +708,15 @@ impl Shard {
                     self.store.trace().log(TRACE_TARGET, TraceLevel::Info, || {
                         format!("session up: AS{} via {}", info.peer_asn.0, remote)
                     });
-                    let _ = self.events.send(SessionEvent::Established { info, remote });
+                    let _ = self.events.send(SessionEvent::Established { info });
                 }
                 Action::Deliver(packet) => {
-                    let (info, remote) = {
+                    let info = {
                         let sess = self.slots[slot].as_ref().expect("resolved slot");
-                        (sess.info.clone().expect("Deliver only after Up"), sess.remote)
+                        sess.info.clone().expect("Deliver only after Up")
                     };
-                    let _ = self.events.send(SessionEvent::Update {
-                        info,
-                        remote,
-                        packet: Box::new(packet),
-                    });
+                    let _ =
+                        self.events.send(SessionEvent::Update { info, packet: Box::new(packet) });
                 }
                 Action::Down(reason) => {
                     self.teardown(slot, reason, true);
@@ -979,9 +960,8 @@ mod tests {
     use super::*;
     use crate::clock::WallClock;
     use crate::config::DaemonConfig;
-    use crate::transport::{write_message, MessageReader};
+    use crate::ActiveSpeaker;
     use kcc_bgp_types::Asn;
-    use kcc_bgp_wire::{Notification, OpenMessage};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -1010,6 +990,13 @@ mod tests {
         (reactor, addr, rx, shutdown)
     }
 
+    /// Dials `addr` as a 90 s-hold peer and completes the handshake.
+    fn dial(addr: SocketAddr, asn: Asn, bgp_id: std::net::Ipv4Addr) -> ActiveSpeaker {
+        let cfg = FsmConfig::new(asn, bgp_id);
+        ActiveSpeaker::connect(addr, cfg, Arc::new(WallClock::new()), Duration::from_secs(5))
+            .unwrap()
+    }
+
     /// Full handshake + one UPDATE + Cease against the live reactor,
     /// with the test playing the peer over a real loopback socket —
     /// the coverage the thread-per-session runner's loopback test used
@@ -1018,17 +1005,9 @@ mod tests {
     fn inbound_session_end_to_end_over_loopback() {
         let (reactor, addr, rx, shutdown) = start_reactor(ReactorConfig::default());
 
-        let peer = TcpStream::connect(addr).unwrap();
-        let cfg = SessionConfig::default();
-        let open = OpenMessage::standard(Asn(20_205), "192.0.2.9".parse().unwrap(), 90);
-        write_message(&peer, &Message::Open(open), &cfg).unwrap();
-        let mut reader = MessageReader::new(peer.try_clone().unwrap(), cfg, true);
-        let got = reader.read_message().unwrap().unwrap();
-        assert!(matches!(got, Message::Open(_)));
-        write_message(&peer, &Message::Keepalive, &cfg).unwrap();
-        assert_eq!(reader.read_message().unwrap().unwrap(), Message::Keepalive);
+        let mut peer = dial(addr, Asn(20_205), "192.0.2.9".parse().unwrap());
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let SessionEvent::Established { info, .. } = ev else {
+        let SessionEvent::Established { info } = ev else {
             panic!("expected Established, got {ev:?}");
         };
         assert_eq!(info.peer_asn, Asn(20_205));
@@ -1036,15 +1015,14 @@ mod tests {
         assert_eq!(reactor.gauges().established.load(Ordering::Relaxed), 1);
 
         let packet = UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap());
-        write_message(&peer, &Message::Update(packet.clone()), &cfg).unwrap();
+        peer.send_update(&packet).unwrap();
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let SessionEvent::Update { packet: got, .. } = ev else {
             panic!("expected Update, got {ev:?}");
         };
         assert_eq!(*got, packet);
 
-        write_message(&peer, &Message::Notification(Notification::cease_admin_shutdown()), &cfg)
-            .unwrap();
+        peer.close().unwrap();
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let SessionEvent::Closed { reason, info } = ev else {
             panic!("expected Closed, got {ev:?}");
@@ -1074,22 +1052,11 @@ mod tests {
     /// portable poll backend so the fallback earns its keep.
     #[test]
     fn sixteen_sessions_one_worker_poll_backend() {
-        let options =
-            ReactorConfig { workers: 1, poller: PollerKind::Poll, ..ReactorConfig::default() };
+        let options = ReactorConfig { workers: 1, poller: PollerKind::Poll };
         let (reactor, addr, rx, shutdown) = start_reactor(options);
-        let cfg = SessionConfig::default();
-        let mut peers = Vec::new();
-        for i in 0..16u32 {
-            let peer = TcpStream::connect(addr).unwrap();
-            let open = OpenMessage::standard(
-                Asn(65_000 + i),
-                std::net::Ipv4Addr::new(192, 0, 2, i as u8 + 1),
-                90,
-            );
-            write_message(&peer, &Message::Open(open), &cfg).unwrap();
-            write_message(&peer, &Message::Keepalive, &cfg).unwrap();
-            peers.push(peer);
-        }
+        let peers: Vec<ActiveSpeaker> = (0..16u32)
+            .map(|i| dial(addr, Asn(65_000 + i), std::net::Ipv4Addr::new(192, 0, 2, i as u8 + 1)))
+            .collect();
         let mut established = 0;
         while established < 16 {
             match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -1098,9 +1065,8 @@ mod tests {
             }
         }
         assert_eq!(reactor.gauges().peak_established.load(Ordering::Relaxed), 16);
-        for peer in &peers {
-            write_message(peer, &Message::Notification(Notification::cease_admin_shutdown()), &cfg)
-                .unwrap();
+        for peer in peers {
+            peer.close().unwrap();
         }
         let mut closed = 0;
         while closed < 16 {

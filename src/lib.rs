@@ -13,8 +13,9 @@
 //! * [`sim`] — discrete-event BGP simulator with vendor profiles and the
 //!   paper's Figure 1 lab experiments,
 //! * [`collector`] — collector sessions, archives, routing beacons,
-//! * [`peer`] — live BGP sessions: the RFC 4271 FSM, TCP transport, and
-//!   the multi-peer collector daemon feeding the streaming pipeline,
+//! * [`peer`] — live BGP sessions: the RFC 4271 FSM, resumable BGP
+//!   framing, and the multi-peer collector daemon feeding the streaming
+//!   pipeline,
 //! * [`tracegen`] — statistical RouteViews/RIS-scale trace generation,
 //! * [`analysis`] — the paper's analysis pipeline (cleaning, the
 //!   pc/pn/nc/nn/xc/xn classifier, community exploration, revealed

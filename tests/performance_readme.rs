@@ -9,18 +9,7 @@
 use std::fs;
 
 use kcc_bench::report::{flatten, parse, Json};
-
-fn with_thousands_separators(n: u64) -> String {
-    let digits = n.to_string();
-    let mut out = String::new();
-    for (i, c) in digits.chars().enumerate() {
-        if i > 0 && (digits.len() - i).is_multiple_of(3) {
-            out.push(',');
-        }
-        out.push(c);
-    }
-    out
-}
+use keep_communities_clean::analysis::report::group_thousands;
 
 /// The README section under `## {heading}`, up to the next `## `.
 fn section(heading: &str) -> String {
@@ -55,7 +44,7 @@ fn readme_performance_table_matches_committed_baseline() {
     let rates = column("BENCH_pipeline.json", "streaming.updates_per_sec");
     assert_eq!(rates.len(), 2, "baseline pins two day sizes");
     for rate in rates {
-        let figure = format!("{} upd/s", with_thousands_separators(rate));
+        let figure = format!("{} upd/s", group_thousands(rate));
         assert!(
             section.contains(&figure),
             "README Performance table is stale: missing \"{figure}\" \
@@ -72,11 +61,7 @@ fn readme_live_scaling_table_matches_committed_baseline() {
     assert_eq!((peers.len(), rates.len()), (4, 4), "baseline pins four sweep points");
     assert_eq!(peers.last(), Some(&5_000), "sweep tops out at 5k sessions");
     for (peers, rate) in peers.into_iter().zip(rates) {
-        let row = format!(
-            "| {} | {} upd/s |",
-            with_thousands_separators(peers),
-            with_thousands_separators(rate)
-        );
+        let row = format!("| {} | {} upd/s |", group_thousands(peers), group_thousands(rate));
         assert!(
             section.contains(&row),
             "README live scaling table is stale: missing \"{row}\" \
@@ -95,7 +80,7 @@ fn readme_scaling_table_matches_committed_baseline() {
     assert!(columns.iter().all(|c| c.len() == 3), "baseline pins three internet sizes");
     assert_eq!(columns[0].last(), Some(&75_000), "sweep tops out at 75k ASes");
     for i in 0..3 {
-        let cells: Vec<String> = columns.iter().map(|c| with_thousands_separators(c[i])).collect();
+        let cells: Vec<String> = columns.iter().map(|c| group_thousands(c[i])).collect();
         let row = format!("| {} ev/s |", cells.join(" | "));
         assert!(
             section.contains(&row),

@@ -260,8 +260,7 @@ fn poll_and_epoll_backends_ingest_identically() {
         let source = collector.take_source();
         let stop = source.shutdown_flag();
         let plan = FloodPlan::from_archive(&workload, 90);
-        let rig = FloodRig::connect(addr, plan, FloodOptions { poller, ..FloodOptions::default() })
-            .expect("establish");
+        let rig = FloodRig::connect(addr, plan, FloodOptions { poller }).expect("establish");
         let coordinator = std::thread::spawn(move || {
             rig.stream().expect("stream");
             collector.shutdown();
