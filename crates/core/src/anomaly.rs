@@ -148,10 +148,12 @@ pub(crate) fn point_checks(
     out: &mut Vec<Alert>,
 ) {
     let MessageKind::Announcement(attrs) = &u.kind else { return };
-    let stream = (key.clone(), u.prefix);
+    // The stream key is cloned only once a well-known community needs it.
+    let mut stream = None;
     for c in attrs.communities.iter_classic() {
         if let Some(name) = c.well_known_name() {
-            if !profiler.stream_trained_action(&stream) {
+            let stream = stream.get_or_insert_with(|| (key.clone(), u.prefix));
+            if !profiler.stream_trained_action(stream) {
                 out.push(Alert::new(
                     u.time_us,
                     Some(key.clone()),

@@ -31,13 +31,27 @@
 //! profiler, the online result is byte-equal to the batch
 //! [`CommunityProfiler::detect`] — the equivalence the property tests
 //! pin.
+//!
+//! **Dense ids.** The sink keeps its own session table: each
+//! [`SessionKey`] (and each collector name) is cloned in once, the first
+//! time it is seen, and every per-update structure is keyed by its `u32`
+//! id — streams by `(session, prefix)`, on-path presence by
+//! `(collector, ASN)`, activity by collector. Keys and names are cloned
+//! back out only to build an alert. Ids are local to one sink, so
+//! [`Merge`] interns the other sink's table once into remap vectors and
+//! re-keys its entries; and which of two sightings is earlier is decided
+//! on `(time, session key)`, never on the id, so merges and serial runs
+//! agree whatever order the ids were handed out in.
 
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use kcc_bgp_types::{Asn, Community, MessageKind, Prefix, RouteUpdate};
+use kcc_bgp_types::{
+    Asn, Community, CommunitySet, FastHashMap, FastHashSet, MessageKind, Prefix, RouteUpdate,
+};
 use kcc_collector::{PeerMeta, SessionKey};
 use kcc_obs::{Counter, Gauge, Registry};
 
@@ -89,12 +103,81 @@ impl WatchConfig {
     }
 }
 
-/// The earliest sighting of something in a window — ties on time break
-/// on the session key, so merges are order-insensitive.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// The earliest sighting of something in a window. `session` is an id
+/// into the sink's [`Sessions`] table; ids differ between sinks, so
+/// sightings have no `Ord` of their own — [`Sessions::earlier`] orders
+/// them by time, ties broken on the session *key*, which keeps merges
+/// order-insensitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Sighting {
     time_us: u64,
-    session: SessionKey,
+    session: u32,
+}
+
+/// A [`WatchSink`]'s dense session and collector ids (see the module
+/// docs).
+#[derive(Debug, Clone, Default)]
+struct Sessions {
+    /// Session key by session id.
+    keys: Vec<SessionKey>,
+    ids: FastHashMap<SessionKey, u32>,
+    /// Collector id by session id.
+    collector_of: Vec<u32>,
+    /// [`session_hash`] by session id: the fan-out identity, which —
+    /// unlike the id — is the same in every sink.
+    hashes: Vec<u64>,
+    /// Collector name by collector id.
+    collectors: Vec<String>,
+    collector_ids: FastHashMap<String, u32>,
+    /// The previous [`intern`](Sessions::intern) result: sources deliver
+    /// long same-session runs.
+    last: Option<u32>,
+}
+
+impl Sessions {
+    /// `key`'s id, cloning the key in only the first time it is seen.
+    fn intern(&mut self, key: &SessionKey) -> u32 {
+        if let Some(id) = self.last {
+            if self.key(id) == key {
+                return id;
+            }
+        }
+        let id = match self.ids.get(key) {
+            Some(&id) => id,
+            None => {
+                let id = self.keys.len() as u32;
+                let collector = self.intern_collector(&key.collector);
+                self.keys.push(key.clone());
+                self.ids.insert(key.clone(), id);
+                self.collector_of.push(collector);
+                self.hashes.push(session_hash(key));
+                id
+            }
+        };
+        self.last = Some(id);
+        id
+    }
+
+    /// `name`'s collector id, cloning the name in only the first time.
+    fn intern_collector(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.collector_ids.get(name) {
+            return id;
+        }
+        let id = self.collectors.len() as u32;
+        self.collectors.push(name.to_owned());
+        self.collector_ids.insert(name.to_owned(), id);
+        id
+    }
+
+    fn key(&self, session: u32) -> &SessionKey {
+        &self.keys[session as usize]
+    }
+
+    /// Whether `a` is strictly earlier than `b`: by time, then by session
+    /// key — the order a derived `Ord` on `(time_us, SessionKey)` gives.
+    fn earlier(&self, a: Sighting, b: Sighting) -> bool {
+        (a.time_us, self.key(a.session)) < (b.time_us, self.key(b.session))
+    }
 }
 
 /// One stream's open distinct-attribute window.
@@ -102,12 +185,12 @@ struct Sighting {
 struct StreamWindow {
     window: u64,
     first_us: u64,
-    attrs: HashSet<String>,
+    attrs: FastHashSet<CommunitySet>,
 }
 
 impl StreamWindow {
     fn open(window: u64, first_us: u64) -> Self {
-        StreamWindow { window, first_us, attrs: HashSet::new() }
+        StreamWindow { window, first_us, attrs: FastHashSet::default() }
     }
 }
 
@@ -116,9 +199,9 @@ impl StreamWindow {
 struct PrefixWindow {
     /// Origin ASes seen, with the earliest sighting of each.
     origins: BTreeMap<Asn, Sighting>,
-    /// On-path ASes per collector vantage, with the earliest sighting
-    /// and the announced origin at that sighting.
-    onpath: BTreeMap<(String, Asn), (Sighting, Asn)>,
+    /// On-path ASes per collector id, with the earliest sighting and the
+    /// announced origin at that sighting.
+    onpath: BTreeMap<(u32, Asn), (Sighting, Asn)>,
 }
 
 /// One community's counters in one window.
@@ -136,15 +219,22 @@ fn session_hash(key: &SessionKey) -> u64 {
     h.finish()
 }
 
-fn min_sighting<K: Ord>(map: &mut BTreeMap<K, Sighting>, k: K, s: Sighting) {
-    match map.get_mut(&k) {
-        Some(cur) => {
-            if s < *cur {
-                *cur = s;
-            }
+/// Keeps the entry with the earliest sighting per key.
+fn keep_earliest<K: Ord, V>(
+    sessions: &Sessions,
+    map: &mut BTreeMap<K, V>,
+    k: K,
+    v: V,
+    sighting: fn(&V) -> Sighting,
+) {
+    match map.entry(k) {
+        Entry::Vacant(e) => {
+            e.insert(v);
         }
-        None => {
-            map.insert(k, s);
+        Entry::Occupied(mut e) => {
+            if sessions.earlier(sighting(&v), sighting(e.get())) {
+                e.insert(v);
+            }
         }
     }
 }
@@ -223,11 +313,13 @@ pub struct WatchSink {
     profiler: Option<Arc<CommunityProfiler>>,
     alerts: Vec<Alert>,
     polled: usize,
-    stream_windows: HashMap<(SessionKey, Prefix), StreamWindow>,
-    last_comms: HashMap<(SessionKey, Prefix), Vec<Community>>,
+    sessions: Sessions,
+    stream_windows: FastHashMap<(u32, Prefix), StreamWindow>,
+    last_comms: FastHashMap<(u32, Prefix), Vec<Community>>,
     prefixes: BTreeMap<Prefix, BTreeMap<u64, PrefixWindow>>,
     communities: BTreeMap<Community, BTreeMap<u64, CommunityWindow>>,
-    collectors: BTreeMap<String, BTreeMap<u64, u64>>,
+    /// Updates per window, by collector id.
+    activity: Vec<BTreeMap<u64, u64>>,
     matrix: AgreementMatrix,
     updates: u64,
     metrics: Option<WatchMetrics>,
@@ -242,11 +334,12 @@ impl WatchSink {
             profiler: None,
             alerts: Vec::new(),
             polled: 0,
-            stream_windows: HashMap::new(),
-            last_comms: HashMap::new(),
+            sessions: Sessions::default(),
+            stream_windows: FastHashMap::default(),
+            last_comms: FastHashMap::default(),
             prefixes: BTreeMap::new(),
             communities: BTreeMap::new(),
-            collectors: BTreeMap::new(),
+            activity: Vec::new(),
             matrix: AgreementMatrix::new(),
             updates: 0,
             metrics: None,
@@ -284,6 +377,15 @@ impl WatchSink {
         time_us / self.cfg.window_us.max(1)
     }
 
+    /// Collector `collector`'s per-window update counts.
+    fn activity_mut(&mut self, collector: u32) -> &mut BTreeMap<u64, u64> {
+        let c = collector as usize;
+        if self.activity.len() <= c {
+            self.activity.resize_with(c + 1, BTreeMap::new);
+        }
+        &mut self.activity[c]
+    }
+
     /// The alerts that streamed since the previous `poll_new` call —
     /// point alerts fire inline; window-replay alerts (hijack, leak,
     /// rate, outage) only appear in [`finish`](WatchSink::finish).
@@ -303,14 +405,14 @@ impl WatchSink {
     fn path_alerts(&self, alerts: &mut Vec<Alert>) {
         for (prefix, windows) in &self.prefixes {
             let mut learned_origins: BTreeSet<Asn> = BTreeSet::new();
-            let mut learned_onpath: BTreeSet<(&str, Asn)> = BTreeSet::new();
+            let mut learned_onpath: BTreeSet<(u32, Asn)> = BTreeSet::new();
             for (observed, pw) in windows.values().enumerate() {
                 if observed as u64 >= self.cfg.learn_windows {
                     for (origin, s) in &pw.origins {
                         if !learned_origins.contains(origin) {
                             alerts.push(Alert::new(
                                 s.time_us,
-                                Some(s.session.clone()),
+                                Some(self.sessions.key(s.session).clone()),
                                 Some(*prefix),
                                 AlertKind::PrefixHijack {
                                     origin: *origin,
@@ -319,22 +421,22 @@ impl WatchSink {
                             ));
                         }
                     }
-                    for ((collector, asn), (s, origin_at)) in &pw.onpath {
-                        if !learned_onpath.contains(&(collector.as_str(), *asn))
+                    for (&(collector, asn), (s, origin_at)) in &pw.onpath {
+                        if !learned_onpath.contains(&(collector, asn))
                             && learned_origins.contains(origin_at)
-                            && !pw.origins.contains_key(asn)
+                            && !pw.origins.contains_key(&asn)
                         {
                             alerts.push(Alert::new(
                                 s.time_us,
-                                Some(s.session.clone()),
+                                Some(self.sessions.key(s.session).clone()),
                                 Some(*prefix),
-                                AlertKind::RouteLeak { via: *asn, origin: *origin_at },
+                                AlertKind::RouteLeak { via: asn, origin: *origin_at },
                             ));
                         }
                     }
                 }
                 learned_origins.extend(pw.origins.keys().copied());
-                learned_onpath.extend(pw.onpath.keys().map(|(c, asn)| (c.as_str(), *asn)));
+                learned_onpath.extend(pw.onpath.keys().copied());
             }
         }
     }
@@ -390,9 +492,8 @@ impl WatchSink {
     /// (from the collector's first active window on) in which this
     /// collector was silent while some other collector was not.
     fn outage_alerts(&self, alerts: &mut Vec<Alert>) {
-        let active: BTreeSet<u64> =
-            self.collectors.values().flat_map(|m| m.keys().copied()).collect();
-        for (name, act) in &self.collectors {
+        let active: BTreeSet<u64> = self.activity.iter().flat_map(|m| m.keys().copied()).collect();
+        for (c, act) in self.activity.iter().enumerate() {
             let Some(&first) = act.keys().next() else { continue };
             let mut run_start: Option<u64> = None;
             let mut run_len = 0u64;
@@ -404,7 +505,7 @@ impl WatchSink {
                             None,
                             None,
                             AlertKind::CollectorOutage {
-                                collector: name.clone(),
+                                collector: self.sessions.collectors[c].clone(),
                                 silent_windows: len,
                             },
                         ));
@@ -430,11 +531,11 @@ impl WatchSink {
         let metrics = self.metrics.take();
         let mut alerts = std::mem::take(&mut self.alerts);
         if let Some(profiler) = &self.profiler {
-            for (stream, sw) in &self.stream_windows {
+            for (&(session, prefix), sw) in &self.stream_windows {
                 alerts.extend(burst_check(
                     profiler,
                     &self.cfg.anomaly,
-                    stream,
+                    &(self.sessions.key(session).clone(), prefix),
                     sw.attrs.len(),
                     sw.first_us,
                 ));
@@ -444,8 +545,7 @@ impl WatchSink {
         self.rate_alerts(&mut alerts);
         self.outage_alerts(&mut alerts);
         sort_alerts(&mut alerts);
-        let windows: BTreeSet<u64> =
-            self.collectors.values().flat_map(|m| m.keys().copied()).collect();
+        let windows: BTreeSet<u64> = self.activity.iter().flat_map(|m| m.keys().copied()).collect();
         let report = WatchReport {
             alerts,
             updates: self.updates,
@@ -465,7 +565,7 @@ impl AnalysisSink for WatchSink {
         // Register the collector column even before (or without) any
         // update: agreement and outage are judged against every known
         // vantage.
-        self.collectors.entry(meta.key.collector.clone()).or_default();
+        self.sessions.intern_collector(&meta.key.collector);
         self.matrix.add_collector(&meta.key.collector);
     }
 
@@ -477,12 +577,14 @@ impl AnalysisSink for WatchSink {
             m.updates.inc();
             m.window_lag.set(u.time_us.saturating_sub(w.saturating_mul(self.cfg.window_us)) as i64);
         }
-        *self.collectors.entry(key.collector.clone()).or_default().entry(w).or_insert(0) += 1;
+        let session = self.sessions.intern(key);
+        let collector = self.sessions.collector_of[session as usize];
+        *self.activity_mut(collector).entry(w).or_insert(0) += 1;
 
         let MessageKind::Announcement(attrs) = &u.kind else {
             // Withdrawals: attribute to the communities last announced
             // on this stream (withdrawals carry no attributes).
-            if let Some(comms) = self.last_comms.get(&(key.clone(), u.prefix)) {
+            if let Some(comms) = self.last_comms.get(&(session, u.prefix)) {
                 for c in comms {
                     self.communities.entry(*c).or_default().entry(w).or_default().withdraws += 1;
                 }
@@ -492,56 +594,49 @@ impl AnalysisSink for WatchSink {
 
         // §7 profile checks (point alerts stream; bursts close per
         // stream window).
-        if let Some(profiler) = self.profiler.clone() {
-            point_checks(&profiler, &self.cfg.anomaly, key, u, &mut self.alerts);
-            let stream = (key.clone(), u.prefix);
+        if let Some(profiler) = &self.profiler {
+            point_checks(profiler, &self.cfg.anomaly, key, u, &mut self.alerts);
             let sw = self
                 .stream_windows
-                .entry(stream.clone())
+                .entry((session, u.prefix))
                 .or_insert_with(|| StreamWindow::open(w, u.time_us));
             if sw.window != w {
                 let closed = std::mem::replace(sw, StreamWindow::open(w, u.time_us));
                 self.alerts.extend(burst_check(
-                    &profiler,
+                    profiler,
                     &self.cfg.anomaly,
-                    &stream,
+                    &(key.clone(), u.prefix),
                     closed.attrs.len(),
                     closed.first_us,
                 ));
             }
-            sw.attrs.insert(attrs.communities.canonical_key());
+            if !sw.attrs.contains(&attrs.communities) {
+                sw.attrs.insert(attrs.communities.clone());
+            }
         }
 
         // Per-prefix origin / on-path presence.
         if let Some(origin) = attrs.as_path.origin() {
-            let sighting = Sighting { time_us: u.time_us, session: key.clone() };
+            let sighting = Sighting { time_us: u.time_us, session };
             let pw = self.prefixes.entry(u.prefix).or_default().entry(w).or_default();
-            min_sighting(&mut pw.origins, origin, sighting.clone());
+            keep_earliest(&self.sessions, &mut pw.origins, origin, sighting, |s| *s);
             for asn in attrs.as_path.asns() {
-                let k = (key.collector.clone(), asn);
-                match pw.onpath.get_mut(&k) {
-                    Some((cur, cur_origin)) => {
-                        if sighting < *cur {
-                            *cur = sighting.clone();
-                            *cur_origin = origin;
-                        }
-                    }
-                    None => {
-                        pw.onpath.insert(k, (sighting.clone(), origin));
-                    }
-                }
+                let k = (collector, asn);
+                keep_earliest(&self.sessions, &mut pw.onpath, k, (sighting, origin), |v| v.0);
             }
         }
 
         // Per-community rates, fan-out and the agreement matrix.
+        let hash = self.sessions.hashes[session as usize];
         for c in attrs.communities.iter_classic() {
             self.matrix.observe(&key.collector, *c, w);
             let cw = self.communities.entry(*c).or_default().entry(w).or_default();
             cw.announces += 1;
-            cw.fanout.insert(session_hash(key));
+            cw.fanout.insert(hash);
         }
-        self.last_comms
-            .insert((key.clone(), u.prefix), attrs.communities.iter_classic().copied().collect());
+        let last = self.last_comms.entry((session, u.prefix)).or_default();
+        last.clear();
+        last.extend(attrs.communities.iter_classic().copied());
         if let Some(m) = &self.metrics {
             let fired = self.alerts.len() - alerts_before;
             if fired > 0 {
@@ -558,29 +653,30 @@ impl AnalysisSink for WatchSink {
 
 impl Merge for WatchSink {
     fn merge(&mut self, mut other: Self) {
+        // Re-key `other`'s ids into this sink's tables, each id once.
+        let session: Vec<u32> =
+            other.sessions.keys.iter().map(|k| self.sessions.intern(k)).collect();
+        let collector: Vec<u32> =
+            other.sessions.collectors.iter().map(|c| self.sessions.intern_collector(c)).collect();
+        let sighting = |s: Sighting| Sighting { session: session[s.session as usize], ..s };
         self.alerts.append(&mut other.alerts);
         // Streams are keyed by session: disjoint across shards.
-        self.stream_windows.extend(other.stream_windows);
-        self.last_comms.extend(other.last_comms);
+        self.stream_windows.extend(
+            other.stream_windows.into_iter().map(|((s, p), sw)| ((session[s as usize], p), sw)),
+        );
+        self.last_comms.extend(
+            other.last_comms.into_iter().map(|((s, p), comms)| ((session[s as usize], p), comms)),
+        );
         for (prefix, windows) in other.prefixes {
             let mine = self.prefixes.entry(prefix).or_default();
             for (w, pw) in windows {
                 let m = mine.entry(w).or_default();
                 for (origin, s) in pw.origins {
-                    min_sighting(&mut m.origins, origin, s);
+                    keep_earliest(&self.sessions, &mut m.origins, origin, sighting(s), |s| *s);
                 }
-                for (k, (s, origin_at)) in pw.onpath {
-                    match m.onpath.get_mut(&k) {
-                        Some((cur, cur_origin)) => {
-                            if s < *cur {
-                                *cur = s;
-                                *cur_origin = origin_at;
-                            }
-                        }
-                        None => {
-                            m.onpath.insert(k, (s, origin_at));
-                        }
-                    }
+                for ((c, asn), (s, origin_at)) in pw.onpath {
+                    let (k, v) = ((collector[c as usize], asn), (sighting(s), origin_at));
+                    keep_earliest(&self.sessions, &mut m.onpath, k, v, |v| v.0);
                 }
             }
         }
@@ -593,8 +689,8 @@ impl Merge for WatchSink {
                 m.fanout.extend(cw.fanout);
             }
         }
-        for (name, act) in other.collectors {
-            let mine = self.collectors.entry(name).or_default();
+        for (c, act) in other.activity.into_iter().enumerate() {
+            let mine = self.activity_mut(collector[c]);
             for (w, n) in act {
                 *mine.entry(w).or_insert(0) += n;
             }
@@ -877,6 +973,45 @@ mod tests {
         let mut rev = per_collector("rrc01");
         rev.merge(per_collector("rrc00"));
         assert_eq!(fwd.finish().alerts, rev.finish().alerts);
+    }
+
+    #[test]
+    fn ties_break_on_session_key_whatever_the_id_order() {
+        // Two sessions of one collector see the same novel origin (window
+        // 1) and the same novel transit (window 2) at the same µs. Either
+        // order of first contact hands out different ids; the alert must
+        // name the smaller key every time.
+        let lo = key_n("rrc00", 1);
+        let hi = key_n("rrc00", 2);
+        assert!(lo < hi);
+        let sink_of = |keys: &[&SessionKey]| {
+            let mut sink = WatchSink::new(cfg());
+            for k in keys {
+                let head = k.peer_asn.value();
+                for (t, path) in [(10, "200 900"), (W + 10, "200 999"), (2 * W + 10, "777 900")] {
+                    sink.on_update(k, &announce(t, &format!("{head} {path}"), &[]));
+                }
+            }
+            sink
+        };
+        let mut sinks = vec![sink_of(&[&lo, &hi]), sink_of(&[&hi, &lo])];
+        for (first, second) in [(&lo, &hi), (&hi, &lo)] {
+            let mut merged = sink_of(&[first]);
+            merged.merge(sink_of(&[second]));
+            sinks.push(merged);
+        }
+        for (i, sink) in sinks.into_iter().enumerate() {
+            let alerts = sink.finish().alerts;
+            assert_eq!(alerts.len(), 2, "run {i}: {alerts:?}");
+            assert_eq!(
+                alerts[0].kind,
+                AlertKind::PrefixHijack { origin: Asn(999), expected: vec![Asn(900)] }
+            );
+            assert_eq!(alerts[1].kind, AlertKind::RouteLeak { via: Asn(777), origin: Asn(900) });
+            for a in &alerts {
+                assert_eq!(a.session.as_ref(), Some(&lo), "run {i}: {a:?}");
+            }
+        }
     }
 
     #[test]
