@@ -28,40 +28,27 @@
 //! timestamp-normalization cleaning stage runs here; library users with
 //! registry data use `run_corpus_report` directly.
 
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use kcc_collector::corpus::{derive_epoch, mrt_files_in};
 use kcc_core::corpus::{run_corpus_report, run_corpus_watch};
 use kcc_core::{AllocationRegistry, CleaningConfig, Corpus, MrtFileOptions, WatchConfig};
 
-/// Reads the timestamp (first header field) of a file's first MRT record
-/// — 4 bytes of I/O, never the file.
-fn first_record_seconds(path: &Path) -> Option<u32> {
-    let mut file = std::fs::File::open(path).ok()?;
-    let mut buf = [0u8; 4];
-    file.read_exact(&mut buf).ok()?;
-    Some(u32::from_be_bytes(buf))
-}
-
+/// Every input file, with each directory expanded to its `*.mrt` files;
+/// a directory without any is an error.
 fn mrt_paths(inputs: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
     let mut paths = Vec::new();
     for input in inputs {
-        if input.is_dir() {
-            let entries = std::fs::read_dir(input)
-                .map_err(|e| format!("read dir {}: {e}", input.display()))?;
-            let mut found: Vec<PathBuf> = entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-                .collect();
-            found.sort();
-            if found.is_empty() {
-                return Err(format!("no *.mrt files in {}", input.display()));
-            }
-            paths.extend(found);
-        } else {
+        if !input.is_dir() {
             paths.push(input.clone());
+            continue;
         }
+        let found = mrt_files_in(input).map_err(|e| e.to_string())?;
+        if found.is_empty() {
+            return Err(format!("no *.mrt files in {}", input.display()));
+        }
+        paths.extend(found);
     }
     Ok(paths)
 }
@@ -109,11 +96,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let epoch = epoch.or_else(|| {
-        let earliest = paths.iter().filter_map(|p| first_record_seconds(p)).min()?;
-        Some(earliest - earliest % 86_400) // floor to midnight UTC
-    });
-    let Some(epoch) = epoch else {
+    let Some(epoch) = epoch.or_else(|| derive_epoch(paths.iter().map(PathBuf::as_path))) else {
         eprintln!("kcc-corpus: could not derive an epoch (empty inputs?); pass --epoch");
         return ExitCode::FAILURE;
     };

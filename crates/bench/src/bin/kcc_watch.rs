@@ -26,7 +26,6 @@
 //! runs under a memory ceiling.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -34,11 +33,11 @@ use std::time::Duration;
 
 use kcc_bench::watch_eval::{alert_lines, eval_library};
 use kcc_bgp_types::{AsPath, Asn, MessageKind, PathAttributes, Prefix, RouteUpdate};
+use kcc_collector::corpus::derive_epoch;
 use kcc_collector::UpdateArchive;
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::{
-    CommunityProfiler, Corpus, MrtDirSource, MrtFileOptions, MrtSource, WatchConfig, WatchReport,
-    WatchSink,
+    CommunityProfiler, Corpus, MrtDirSource, MrtFileOptions, WatchConfig, WatchReport, WatchSink,
 };
 use kcc_tracegen::{vantage_names, MultiVantageConfig, VantageSource};
 
@@ -69,40 +68,6 @@ fn usage() {
     );
 }
 
-/// The timestamp of a file's first MRT record — 4 bytes of I/O.
-fn first_record_seconds(path: &Path) -> Option<u32> {
-    let mut file = std::fs::File::open(path).ok()?;
-    let mut buf = [0u8; 4];
-    file.read_exact(&mut buf).ok()?;
-    Some(u32::from_be_bytes(buf))
-}
-
-/// `*.mrt` files under a directory, sorted by name.
-fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read dir {}: {e}", dir.display()))?;
-    let mut found: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-        .collect();
-    found.sort();
-    Ok(found)
-}
-
-/// Derives the day anchor: the earliest first-record timestamp across
-/// all inputs, floored to midnight UTC.
-fn derive_epoch(inputs: &[PathBuf], train: &[PathBuf]) -> Option<u32> {
-    let mut earliest: Option<u32> = None;
-    for input in inputs.iter().chain(train) {
-        let files = if input.is_dir() { mrt_files_in(input).ok()? } else { vec![input.clone()] };
-        for f in &files {
-            if let Some(s) = first_record_seconds(f) {
-                earliest = Some(earliest.map_or(s, |e| e.min(s)));
-            }
-        }
-    }
-    earliest.map(|e| e - e % 86_400)
-}
-
 /// Loads one training input (file or directory-as-one-feed) into an
 /// archive and folds it into the profiler.
 fn train_profiler(
@@ -113,17 +78,13 @@ fn train_profiler(
 ) -> Result<(), String> {
     let archive = if path.is_dir() {
         let mut src = MrtDirSource::new(path, "train", epoch).with_options(options.clone());
-        UpdateArchive::from_source(&mut src, epoch).map_err(|e| e.to_string())?
+        UpdateArchive::from_source(&mut src, epoch)
     } else {
-        let file =
-            std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-        let mut src = MrtSource::new(std::io::BufReader::new(file), "train", epoch)
-            .with_route_servers(options.route_servers.iter().copied());
-        if options.clamp_pre_epoch {
-            src = src.with_pre_epoch_clamp();
-        }
-        UpdateArchive::from_source(&mut src, epoch).map_err(|e| e.to_string())?
-    };
+        options
+            .open(path, "train", epoch)
+            .and_then(|mut src| UpdateArchive::from_source(&mut src, epoch))
+    }
+    .map_err(|e| e.to_string())?;
     profiler.train(&archive);
     Ok(())
 }
@@ -522,7 +483,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let epoch = opts.epoch.or_else(|| derive_epoch(&opts.inputs, &opts.train));
+    let inputs = opts.inputs.iter().chain(&opts.train).map(PathBuf::as_path);
+    let epoch = opts.epoch.or_else(|| derive_epoch(inputs));
     let Some(epoch) = epoch else {
         eprintln!("kcc-watch: could not derive an epoch (empty inputs?); pass --epoch");
         return ExitCode::FAILURE;

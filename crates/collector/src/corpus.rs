@@ -10,11 +10,16 @@
 //! through its own full pipeline (stages + sinks built per collector) in
 //! parallel and merges the results **in name order**, so the outcome is
 //! independent of both member insertion order and thread count.
+//!
+//! MRT files reach every corpus member, and every
+//! [`MrtDirSource`](crate::MrtDirSource), through one input layer:
+//! [`mrt_files_in`] lists a directory, [`derive_epoch`] anchors the day,
+//! and [`MrtFileOptions::open`] opens a file.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::IpAddr;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use kcc_bgp_types::Asn;
 
@@ -31,6 +36,60 @@ pub struct MrtFileOptions {
     /// This collector's IXP route-server endpoints — session metadata
     /// MRT cannot carry (see [`MrtSource::with_route_servers`]).
     pub route_servers: Vec<(Asn, IpAddr)>,
+}
+
+impl MrtFileOptions {
+    /// Opens one MRT file as a record-at-a-time source for `collector`,
+    /// with these options applied. Update times become microseconds
+    /// since `epoch_seconds`.
+    pub fn open(
+        &self,
+        path: &Path,
+        collector: &str,
+        epoch_seconds: u32,
+    ) -> Result<MrtSource<BufReader<File>>, SourceError> {
+        let file = File::open(path)
+            .map_err(|e| SourceError::Other(format!("open {}: {e}", path.display())))?;
+        let source = MrtSource::new(BufReader::new(file), collector, epoch_seconds)
+            .with_route_servers(self.route_servers.iter().copied());
+        Ok(if self.clamp_pre_epoch { source.with_pre_epoch_clamp() } else { source })
+    }
+}
+
+/// The `*.mrt` files of a directory, sorted by name. Anything else —
+/// notes, a rotator's in-progress `.part` files — is skipped.
+pub fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, SourceError> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| SourceError::Other(format!("read dir {}: {e}", dir.display())))?;
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
+/// The day anchor of a set of MRT inputs: the earliest first-record
+/// timestamp, floored to midnight UTC. A directory contributes its
+/// `*.mrt` files. Only each file's first 4 bytes (the first record's
+/// timestamp) are read. `None` when a directory cannot be listed or no
+/// file has a first record.
+pub fn derive_epoch<'p>(inputs: impl IntoIterator<Item = &'p Path>) -> Option<u32> {
+    let mut earliest: Option<u32> = None;
+    for input in inputs {
+        let files = if input.is_dir() { mrt_files_in(input).ok()? } else { vec![input.into()] };
+        for seconds in files.iter().filter_map(|f| first_record_seconds(f)) {
+            earliest = Some(earliest.map_or(seconds, |e| e.min(seconds)));
+        }
+    }
+    earliest.map(|e| e - e % 86_400)
+}
+
+/// The timestamp (first header field) of a file's first MRT record.
+fn first_record_seconds(path: &Path) -> Option<u32> {
+    let mut buf = [0u8; 4];
+    File::open(path).ok()?.read_exact(&mut buf).ok()?;
+    Some(u32::from_be_bytes(buf))
 }
 
 /// One collector's feed in a corpus: a display/merge name plus any
@@ -119,26 +178,14 @@ impl<'a> Corpus<'a> {
             .and_then(|s| s.to_str())
             .ok_or_else(|| SourceError::Other(format!("unnameable MRT path: {path:?}")))?
             .to_owned();
-        let file = File::open(path)
-            .map_err(|e| SourceError::Other(format!("open {}: {e}", path.display())))?;
-        let mut source = MrtSource::new(BufReader::new(file), &name, epoch_seconds)
-            .with_route_servers(options.route_servers.iter().copied());
-        if options.clamp_pre_epoch {
-            source = source.with_pre_epoch_clamp();
-        }
+        let source = options.open(path, &name, epoch_seconds)?;
         self.push(&name, source)
     }
 
     /// Adds every `*.mrt` file of a directory, each as its own collector
     /// (sorted by file name, though member order never affects results).
     pub fn push_mrt_dir(&mut self, dir: &Path, epoch_seconds: u32) -> Result<usize, SourceError> {
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| SourceError::Other(format!("read dir {}: {e}", dir.display())))?;
-        let mut paths: Vec<_> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-            .collect();
-        paths.sort();
+        let paths = mrt_files_in(dir)?;
         let added = paths.len();
         for p in &paths {
             self.push_mrt_file(p, epoch_seconds)?;

@@ -21,10 +21,10 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fs::File;
 use std::io::BufReader;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::corpus::MrtFileOptions;
+use crate::corpus::{mrt_files_in, MrtFileOptions};
 use crate::live::ShutdownFlag;
 use crate::session::SessionKey;
 use crate::source::{SourceError, SourceItem, UpdateSource};
@@ -98,30 +98,13 @@ impl MrtDirSource {
     /// Scans the directory and queues every `*.mrt` file not yet
     /// picked up, in name order.
     fn scan(&mut self) -> Result<(), SourceError> {
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| SourceError::Other(format!("read dir {}: {e}", self.dir.display())))?;
-        let mut fresh: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-            .filter(|p| !self.processed.contains(p))
-            .collect();
-        fresh.sort();
-        for p in fresh {
-            self.processed.insert(p.clone());
-            self.queue.push_back(p);
+        for p in mrt_files_in(&self.dir)? {
+            if !self.processed.contains(&p) {
+                self.processed.insert(p.clone());
+                self.queue.push_back(p);
+            }
         }
         Ok(())
-    }
-
-    fn open(&self, path: &Path) -> Result<MrtSource<BufReader<File>>, SourceError> {
-        let file = File::open(path)
-            .map_err(|e| SourceError::Other(format!("open {}: {e}", path.display())))?;
-        let mut source = MrtSource::new(BufReader::new(file), &self.collector, self.epoch_seconds)
-            .with_route_servers(self.options.route_servers.iter().copied());
-        if self.options.clamp_pre_epoch {
-            source = source.with_pre_epoch_clamp();
-        }
-        Ok(source)
     }
 }
 
@@ -146,7 +129,8 @@ impl UpdateSource for MrtDirSource {
                 }
             }
             if let Some(path) = self.queue.pop_front() {
-                self.current = Some(self.open(&path)?);
+                self.current =
+                    Some(self.options.open(&path, &self.collector, self.epoch_seconds)?);
                 continue;
             }
             self.scan()?;
@@ -177,6 +161,7 @@ mod tests {
     use crate::archive::UpdateArchive;
     use crate::session::PeerMeta;
     use kcc_bgp_types::{Asn, PathAttributes, RouteUpdate};
+    use std::path::Path;
 
     fn key(peer: u32) -> SessionKey {
         SessionKey::new("lab", Asn(peer), "192.0.2.9".parse().unwrap())

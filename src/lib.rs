@@ -51,3 +51,9 @@ pub use kcc_topology as topology;
 pub use kcc_tracegen as tracegen;
 
 pub mod adapter;
+
+/// Every Rust block in `README.md`, compiled and run as a doctest, so the
+/// README cannot drift from the API it documents.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -16,15 +16,19 @@ use std::path::PathBuf;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use keep_communities_clean::analysis::corpus::{corpus_sink, run_corpus_report, CorpusSink};
+use keep_communities_clean::analysis::corpus::{
+    corpus_sink, run_corpus_report, run_corpus_watch, CorpusSink,
+};
 use keep_communities_clean::analysis::table::OverviewSink;
 use keep_communities_clean::analysis::{
     CleaningConfig, CleaningStage, Corpus, CountsSink, Merge, PipelineBuilder, PipelineOutput,
+    WatchConfig, WatchSink,
 };
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::tracegen::universe::UniverseConfig;
 use keep_communities_clean::tracegen::{
-    vantage_names, Mar20Config, Mar20Source, MultiVantageConfig, VantageSource,
+    multi_vantage_corpus, vantage_names, Mar20Config, Mar20Source, MultiVantageConfig,
+    VantageSource,
 };
 use keep_communities_clean::types::{
     Asn, Community, CommunitySet, PathAttributes, Prefix, RouteUpdate,
@@ -250,7 +254,7 @@ fn mar20_corpus_report_is_order_and_thread_independent() {
 fn mar20_corpus_combined_equals_unsplit_day() {
     let mut cfg = mar20_corpus_cfg();
     cfg.force_second_granularity.clear(); // identical data on both paths
-    let (corpus, registry) = keep_communities_clean::tracegen::multi_vantage_corpus(&cfg).unwrap();
+    let (corpus, registry) = multi_vantage_corpus(&cfg).unwrap();
     let corpus_out = PipelineBuilder::collectors(corpus)
         .threads(3)
         .stages_for(|_: &str| CleaningStage::new(&registry, CleaningConfig::default()))
@@ -290,4 +294,41 @@ fn forced_truncation_reaches_the_cleaning_stage() {
         "forced vantage must trigger timestamp normalization"
     );
     assert!(forced_col.stats.updates > 0);
+}
+
+/// `run_corpus_watch` is the report stack plus a per-collector
+/// `WatchSink` in one pass: at any thread count its report renders
+/// exactly as `run_corpus_report`'s, and its alerts are exactly those of
+/// a watch-only corpus run behind the same cleaning stage.
+#[test]
+fn corpus_watch_equals_separate_report_and_watch_runs() {
+    let cfg = mar20_corpus_cfg();
+    let cleaning = CleaningConfig::default();
+    let watch = WatchConfig::default();
+
+    let (corpus, registry) = multi_vantage_corpus(&cfg).unwrap();
+    let report = run_corpus_report(corpus, 2, &registry, cleaning).unwrap().render();
+    let (corpus, registry) = multi_vantage_corpus(&cfg).unwrap();
+    let alerts: Vec<String> = PipelineBuilder::collectors(corpus)
+        .threads(2)
+        .stages_for(|_: &str| CleaningStage::new(&registry, cleaning))
+        .sinks_for(|_: &str| WatchSink::new(watch))
+        .run()
+        .unwrap()
+        .combined
+        .finish()
+        .alerts
+        .iter()
+        .map(|a| a.to_line())
+        .collect();
+    assert!(!alerts.is_empty(), "the generated day must raise alerts to compare");
+
+    for threads in [1, 2] {
+        let (corpus, registry) = multi_vantage_corpus(&cfg).unwrap();
+        let (both_report, both_watch) =
+            run_corpus_watch(corpus, threads, &registry, cleaning, watch, None).unwrap();
+        assert_eq!(both_report.render(), report, "threads={threads}: report diverged");
+        let lines: Vec<String> = both_watch.alerts.iter().map(|a| a.to_line()).collect();
+        assert_eq!(lines, alerts, "threads={threads}: alerts diverged");
+    }
 }

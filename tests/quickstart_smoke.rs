@@ -1,21 +1,10 @@
-//! Workspace smoke test: the umbrella crate's documented quickstart must
-//! keep working exactly as written in `src/lib.rs`'s crate docs. If this
-//! test fails, the README/rustdoc quickstart is lying to users.
+//! Workspace smoke test: what the documented quickstart (the crate-docs
+//! and README Exp2 block, run as doctests) does not show — the update
+//! that reaches the collector is a pure community change, and the lab
+//! run is deterministic.
 
 use keep_communities_clean::sim::lab::{run_experiment, LabExperiment};
 use keep_communities_clean::sim::VendorProfile;
-
-#[test]
-fn documented_quickstart_reaches_the_collector() {
-    // Exactly the crate-docs quickstart: the paper's Exp2 — a community
-    // change alone propagates to the route collector.
-    let report = run_experiment(LabExperiment::Exp2, VendorProfile::CISCO_IOS);
-    assert_eq!(
-        report.at_collector.len(),
-        1,
-        "Exp2 under Cisco IOS must deliver exactly one update to the collector"
-    );
-}
 
 #[test]
 fn quickstart_update_is_a_pure_community_change() {

@@ -1,20 +1,24 @@
-//! Enforces the README's committed-figure tables the way
-//! `tests/pipeline_readme.rs` enforces the streaming snippet: the
-//! pipeline, live and internet scaling tables must equal the committed
-//! `BENCH_*.json` (read through `kcc_bench::report`, as `bench_gate`
-//! reads them), and the documented reproduction commands must name the
-//! gate CI runs — so re-pinning a baseline without updating the README
-//! (or vice versa) fails here first.
+//! The README's prose, held to the repository. Its Rust blocks run as
+//! doctests of the umbrella crate (`src/lib.rs` includes `README.md`);
+//! these tests check what a doctest cannot: the committed-figure tables
+//! equal the `BENCH_*.json` baselines (read through `kcc_bench::report`,
+//! as `bench_gate` reads them), the documented reproduction commands
+//! name the gate CI runs, and every path and binary the README cites
+//! exists. Re-pinning a baseline, or deleting a cited file, without
+//! updating the README fails here.
 
 use std::fs;
 
 use kcc_bench::report::{flatten, parse, Json};
 use keep_communities_clean::analysis::report::group_thousands;
 
+fn readme() -> String {
+    fs::read_to_string("README.md").unwrap()
+}
+
 /// The README section under `## {heading}`, up to the next `## `.
 fn section(heading: &str) -> String {
-    let readme = fs::read_to_string("README.md").unwrap();
-    readme
+    readme()
         .split(&format!("## {heading}"))
         .nth(1)
         .unwrap_or_else(|| panic!("README has a {heading} section"))
@@ -152,5 +156,56 @@ fn readme_reproduction_commands_match_ci() {
     for t in ["sim_invariance", "golden_lab"] {
         assert!(section.contains(t), "README names tests/{t}.rs");
         assert!(fs::metadata(format!("tests/{t}.rs")).is_ok(), "tests/{t}.rs exists");
+    }
+}
+
+/// The Observability section names the real scrape surfaces and the
+/// determinism tests it cites.
+#[test]
+fn readme_observability_section_names_real_surfaces() {
+    let section = section("Observability");
+    for needle in
+        ["`metrics` command", "--profile-every", "--metrics-out", "daemon-soak", "bench_gate"]
+    {
+        assert!(section.contains(needle), "Observability section lost {needle:?}");
+    }
+    for path in ["crates/obs/tests/render_props.rs", "tests/obs_determinism.rs"] {
+        assert!(section.contains(path), "Observability section must cite {path}");
+    }
+}
+
+/// Every `tests/`, `crates/` and `examples/` path and every `--bin NAME`
+/// the README names exists.
+#[test]
+fn readme_cites_only_paths_and_binaries_that_exist() {
+    let readme = readme();
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let mut paths = Vec::new();
+    for root in ["tests/", "crates/", "examples/"] {
+        for (at, _) in readme.match_indices(root) {
+            if readme[..at].chars().next_back().is_some_and(is_path_char) {
+                continue; // inside a longer path, e.g. `crates/obs/tests/…`
+            }
+            let rest = &readme[at..];
+            let end = rest.find(|c: char| !is_path_char(c)).unwrap_or(rest.len());
+            paths.push(rest[..end].trim_end_matches(['.', '/']).to_string());
+        }
+    }
+    assert!(paths.iter().any(|p| p == "tests/live_e2e.rs"), "path scan found {paths:?}");
+    for path in &paths {
+        assert!(fs::metadata(path).is_ok(), "README cites {path}, which does not exist");
+    }
+
+    let manifest = fs::read_to_string("crates/bench/Cargo.toml").unwrap();
+    let bins: Vec<&str> = readme
+        .split("--bin ")
+        .skip(1)
+        .map(|rest| rest.split(|c: char| c.is_whitespace() || c == '`').next().unwrap())
+        .collect();
+    assert!(bins.contains(&"kcc-corpus"), "binary scan found {bins:?}");
+    for bin in bins {
+        let declared = manifest.contains(&format!("name = \"{bin}\""));
+        let by_file = fs::metadata(format!("crates/bench/src/bin/{bin}.rs")).is_ok();
+        assert!(declared || by_file, "README runs --bin {bin}, which kcc_bench does not build");
     }
 }
